@@ -1,18 +1,34 @@
-"""EM-trained word-translation model (IBM Model 1) over a small parallel corpus.
+"""EM-trained word-translation model (IBM Model 1) over a parallel corpus.
 
 The translation table t(target | source) is kept sparse over the pairs that
-co-occur in some sentence; a distinguished NULL source slot lets target words
-align to nothing. The per-iteration E-step runs through a compiled kernel
-when available and a numpy fallback otherwise (see ``backend_name``).
+co-occur in some sentence; a distinguished NULL source (id 0) lets target
+words align to nothing.
 
-Expected counts are accumulated per fixed-size sentence chunk and the chunk
-partials are combined in ascending chunk order, so results are identical for
-any worker count.
+Training and Viterbi alignment share one slot layout (``_slot_layout``). A
+slot is one (sentence, target token, source position), position 0 being
+NULL; the slots of one target token form its group, NULL first. Each slot
+holds the index of its (source type, target type) pair among the sorted
+distinct pair keys, all found by a single ``np.unique``.
+
+EM runs on that layout. The E-step spreads each group's posterior over its
+slots' pairs, through a compiled kernel when available and a numpy fallback
+otherwise (see ``backend_name``). Expected counts are accumulated per
+fixed-size sentence chunk and the chunk partials are combined in ascending
+chunk order, so results are identical for any worker count.
+
+Viterbi builds the same layout for the corpus it aligns and reads each
+distinct pair's probability from the table with one batched
+``searchsorted``. A segmented argmax over all groups at once replaces any
+per-sentence loop: NULL's slot is masked, ``np.maximum.reduceat`` gives
+each group's best probability, the first slot holding it is the best source
+token (ties go to the lowest index), and the token links iff that
+probability is at least NULL's.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -168,18 +184,73 @@ class TranslationTable:
         return {w: float(s) for w, s in zip(self.src_words, sums)}
 
 
-def _fold_corpus(corpus: ParallelCorpus, case_fold: bool) -> ParallelCorpus:
-    if not case_fold:
-        return corpus
-    return [([w.casefold() for w in s], [w.casefold() for w in t]) for s, t in corpus]
-
-
 def _validate_corpus(corpus: ParallelCorpus) -> None:
     if not corpus:
         raise ValidationError("cannot train on an empty parallel corpus")
     for n, (s, t) in enumerate(corpus):
         if not s or not t:
             raise ValidationError(f"parallel pair {n} has an empty side")
+
+
+def _token_ids(sentences, word_id) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sentence lengths and the flat token ids of ``sentences``.
+
+    ``word_id`` is called once per distinct word, in order of first
+    occurrence, so an id-assigning callback numbers types in corpus order.
+    """
+    ids = dict.fromkeys(itertools.chain.from_iterable(sentences))
+    for word in ids:
+        ids[word] = word_id(word)
+    lens = np.fromiter(map(len, sentences), dtype=np.int64, count=len(sentences))
+    flat = np.fromiter(map(ids.__getitem__, itertools.chain.from_iterable(sentences)),
+                       dtype=np.int64, count=int(lens.sum()))
+    return lens, flat
+
+
+def _slot_layout(src_lens, src_flat, tgt_lens, tgt_flat, n_tgt):
+    """The slots of a corpus and the type pair behind each slot.
+
+    A slot is one (sentence, target token, source position) with position 0
+    the NULL source (id 0); its group is its (sentence, target token), so a
+    group holds the NULL slot and then one slot per source token, in order.
+    A slot's pair key is ``src_id * n_tgt + tgt_id``, or -1 when either id
+    is -1 (a word the table does not know).
+
+    Returns ``group_ptr`` (slots of group g are ``group_ptr[g]:group_ptr[g+1]``),
+    ``g_flat`` (group of each slot), the sorted distinct ``pair_keys`` and
+    ``k_flat`` (index into ``pair_keys`` of each slot's key).
+    """
+    n_sents = len(src_lens)
+    widths = np.repeat(src_lens + 1, tgt_lens)  # slots per group
+    n_groups = len(widths)
+    group_ptr = np.zeros(n_groups + 1, dtype=np.int64)
+    np.cumsum(widths, out=group_ptr[1:])
+    n_slots = int(group_ptr[-1])
+
+    # A "block" is a sentence's NULL id followed by its source ids; the
+    # source id of a slot is read from its sentence's block at the slot's
+    # offset within its group.
+    block_ptr = np.zeros(n_sents + 1, dtype=np.int64)
+    np.cumsum(src_lens + 1, out=block_ptr[1:])
+    blocks = np.zeros(int(block_ptr[-1]), dtype=np.int64)
+    put_mask = np.ones(len(blocks), dtype=bool)
+    put_mask[block_ptr[:-1]] = False
+    blocks[put_mask] = src_flat
+    sentence_of_group = np.repeat(np.arange(n_sents, dtype=np.int64), tgt_lens)
+    shift = np.repeat(group_ptr[:-1] - block_ptr[sentence_of_group], widths)
+    slot_e = blocks[np.arange(n_slots, dtype=np.int64) - shift]
+    del sentence_of_group, shift, blocks
+    slot_f = np.repeat(tgt_flat, widths)
+
+    keys = slot_e * n_tgt
+    keys += slot_f
+    keys[(slot_e < 0) | (slot_f < 0)] = -1
+    del slot_e, slot_f
+    pair_keys, k_flat = np.unique(keys, return_inverse=True)
+    del keys
+    # made last, so it is not alive while np.unique sorts
+    g_flat = np.repeat(np.arange(n_groups, dtype=np.int64), widths)
+    return group_ptr, g_flat, pair_keys, k_flat
 
 
 def train_model1(
@@ -198,49 +269,19 @@ def train_model1(
     """
     _validate_corpus(corpus)
     kernel = _DEFAULT_KERNEL if backend is None else _load_kernel(backend)
-    folded = _fold_corpus(corpus, cfg.case_fold)
+    fold = str.casefold if cfg.case_fold else str
 
     src_index: dict[str, int] = {NULL_WORD: 0}
     tgt_index: dict[str, int] = {}
-    src_lens = np.array([len(s) for s, _ in folded], dtype=np.int64)
-    tgt_lens = np.array([len(t) for _, t in folded], dtype=np.int64)
-    src_flat = np.fromiter(
-        (src_index.setdefault(w, len(src_index)) for s, _ in folded for w in s),
-        dtype=np.int64, count=int(src_lens.sum()))
-    tgt_flat = np.fromiter(
-        (tgt_index.setdefault(w, len(tgt_index)) for _, t in folded for w in t),
-        dtype=np.int64, count=int(tgt_lens.sum()))
+    src_lens, src_flat = _token_ids(
+        [s for s, _ in corpus], lambda w: src_index.setdefault(fold(w), len(src_index)))
+    tgt_lens, tgt_flat = _token_ids(
+        [t for _, t in corpus], lambda w: tgt_index.setdefault(fold(w), len(tgt_index)))
     n_src = len(src_index)
     n_tgt = len(tgt_index)
 
-    # One slot per (sentence, target token, source position incl. NULL); the
-    # group of a slot is its (sentence, target token). All index plumbing is
-    # vectorized: a "block" is a sentence's [NULL] + source ids, tiled once
-    # per target token of that sentence.
-    n_sents = len(folded)
-    n_groups = int(tgt_lens.sum())
-    sent_groups = np.zeros(n_sents + 1, dtype=np.int64)
-    np.cumsum(tgt_lens, out=sent_groups[1:])
-    widths = np.repeat(src_lens + 1, tgt_lens)  # slots per group
-    group_ptr = np.zeros(n_groups + 1, dtype=np.int64)
-    np.cumsum(widths, out=group_ptr[1:])
-    n_slots = int(group_ptr[-1])
-    g_flat = np.repeat(np.arange(n_groups, dtype=np.int64), widths)
-
-    block_ptr = np.zeros(n_sents + 1, dtype=np.int64)
-    np.cumsum(src_lens + 1, out=block_ptr[1:])
-    blocks = np.zeros(int(block_ptr[-1]), dtype=np.int64)
-    put_mask = np.ones(len(blocks), dtype=bool)
-    put_mask[block_ptr[:-1]] = False  # NULL slot at each block start
-    blocks[put_mask] = src_flat
-    sentence_of_group = np.repeat(np.arange(n_sents, dtype=np.int64), tgt_lens)
-    offset_in_group = np.arange(n_slots, dtype=np.int64) - np.repeat(group_ptr[:-1], widths)
-    slot_e = blocks[np.repeat(block_ptr[sentence_of_group], widths) + offset_in_group]
-    slot_f = np.repeat(tgt_flat, widths)
-
-    keys = slot_e * n_tgt + slot_f
-    pair_keys = np.unique(keys)
-    k_flat = np.searchsorted(pair_keys, keys)
+    group_ptr, g_flat, pair_keys, k_flat = _slot_layout(
+        src_lens, src_flat, tgt_lens, tgt_flat, n_tgt)
     n_pairs = len(pair_keys)
     pair_e = pair_keys // n_tgt
     row_ptr = np.searchsorted(pair_e, np.arange(n_src + 1, dtype=np.int64))
@@ -249,6 +290,9 @@ def train_model1(
 
     t = 1.0 / np.repeat(row_len, row_len).astype(np.float64)
 
+    n_sents = len(corpus)
+    sent_groups = np.zeros(n_sents + 1, dtype=np.int64)
+    np.cumsum(tgt_lens, out=sent_groups[1:])
     chunks = []
     for lo in range(0, n_sents, _CHUNK_SENTS):
         hi = min(lo + _CHUNK_SENTS, n_sents)
@@ -310,31 +354,44 @@ def viterbi_align(corpus: ParallelCorpus, table: TranslationTable) -> list[Sente
     """Hard-align each target token to its most probable source token.
 
     A NULL win leaves the target token unlinked; ties go to the lowest source
-    index, and NULL loses ties to any real token.
+    index, and NULL loses ties to any real token. Words or pairs the table
+    does not know have probability 0.
     """
-    n_tgt = table.target_vocab_size
-    n_pairs = len(table._keys)
-    out: list[SentenceAlignment] = []
-    for src, tgt in corpus:
-        e = np.array([0] + [table.src_id(w) for w in src], dtype=np.int64)  # NULL first
-        f = np.array([table.tgt_id(w) for w in tgt], dtype=np.int64)
-        probs = np.zeros((len(f), len(e)))
-        valid = (e[None, :] >= 0) & (f[:, None] >= 0)
-        keys = np.where(valid, e[None, :] * n_tgt + f[:, None], -1)
-        k = np.searchsorted(table._keys, keys)
-        hit = valid & (k < n_pairs)
-        hit[hit] = table._keys[k[hit]] == keys[hit]
-        probs[hit] = table._t[k[hit]]
-        p_null = probs[:, 0]
-        p_real = probs[:, 1:]
-        links = set()
-        if p_real.shape[1]:
-            best = p_real.argmax(axis=1)  # first max = lowest source index
-            best_p = p_real[np.arange(len(f)), best]
-            for j in np.nonzero(best_p >= p_null)[0]:
-                links.add((int(best[j]), int(j)))
-        out.append(SentenceAlignment(frozenset(links), src_len=len(src), tgt_len=len(tgt)))
-    return out
+    src_lens, src_flat = _token_ids([s for s, _ in corpus], table.src_id)
+    tgt_lens, tgt_flat = _token_ids([t for _, t in corpus], table.tgt_id)
+    group_ptr, g_flat, pair_keys, k_flat = _slot_layout(
+        src_lens, src_flat, tgt_lens, tgt_flat, table.target_vocab_size)
+
+    pos = np.searchsorted(table._keys, pair_keys)
+    hit = pos < len(table._keys)
+    hit[hit] = table._keys[pos[hit]] == pair_keys[hit]
+    pair_t = np.zeros(len(pair_keys))
+    pair_t[hit] = table._t[pos[hit]]
+    slot_t = pair_t[k_flat]
+    del k_flat
+
+    # Segmented argmax over each group's source slots: the NULL slot is
+    # masked below every probability, a group links iff its maximum beats or
+    # ties NULL, and the first slot at the maximum is the lowest-index best.
+    starts = group_ptr[:-1]
+    p_null = slot_t[starts]
+    slot_t[starts] = -1.0
+    best_t = np.maximum.reduceat(slot_t, starts)
+    linked = np.flatnonzero(best_t >= p_null)
+    at_best = np.flatnonzero(slot_t == best_t[g_flat])  # each group has one
+    link_start = starts[linked]
+    link_i = (at_best[np.searchsorted(at_best, link_start)] - link_start - 1).tolist()
+
+    sent_groups = np.zeros(len(corpus) + 1, dtype=np.int64)
+    np.cumsum(tgt_lens, out=sent_groups[1:])
+    sent = np.searchsorted(sent_groups, linked, side="right") - 1
+    link_j = (linked - sent_groups[sent]).tolist()
+    link_ptr = np.searchsorted(linked, sent_groups).tolist()
+    return [
+        SentenceAlignment(frozenset(zip(link_i[lo:hi], link_j[lo:hi])),
+                          src_len=len(s), tgt_len=len(t))
+        for (s, t), lo, hi in zip(corpus, link_ptr, link_ptr[1:])
+    ]
 
 
 def swap_corpus(corpus: ParallelCorpus) -> ParallelCorpus:

@@ -231,8 +231,24 @@ def _cmd_report_pos_dist(args) -> int:
     return 0
 
 
+def _int_at_least(minimum: int):
+    """argparse type for an integer flag of at least ``minimum``, so a bad
+    value is a usage error caught before any file is read or written."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
+
+
 def _add_threads(parser):
-    parser.add_argument("--threads", type=int, default=1,
+    parser.add_argument("--threads", type=_int_at_least(1), default=1,
                         help="worker threads; output is identical for any value")
 
 
@@ -259,8 +275,8 @@ def build_parser() -> _Parser:
     p.add_argument("--src", required=True)
     p.add_argument("--tgt", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--iterations", type=int, default=5)
-    p.add_argument("--min-count", type=int, default=2)
+    p.add_argument("--iterations", type=_int_at_least(1), default=5)
+    p.add_argument("--min-count", type=_int_at_least(1), default=2)
     p.add_argument("--symmetrization", choices=[s.value for s in Symmetrization],
                    default=Symmetrization.INTERSECTION.value)
     p.add_argument("--no-case-fold", action="store_true")
@@ -277,7 +293,7 @@ def build_parser() -> _Parser:
     p.add_argument("--lexicon", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--limit", type=int, help="keep only the first N sentences")
+    p.add_argument("--limit", type=_int_at_least(0), help="keep only the first N sentences")
     p.add_argument("--report", metavar="PATH", help="write a coverage report JSON")
     _add_threads(p)
     p.set_defaults(func=_cmd_synth_mono)

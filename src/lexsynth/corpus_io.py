@@ -9,7 +9,8 @@ Formats handled:
     as passthrough and excluded from the token sequence
   * parallel text: two line-aligned monolingual files
 
-All outputs are UTF-8 with LF line endings and a trailing newline.
+Inputs are UTF-8; a leading byte-order mark is dropped. All outputs are
+UTF-8 with LF line endings and a trailing newline.
 """
 
 from __future__ import annotations
@@ -98,10 +99,14 @@ class LabeledCorpus:
 def read_mono(path, limit: int | None = None) -> TokenizedCorpus:
     """Read one tokenized sentence per line; blank lines are skipped.
 
-    ``limit`` keeps only the first N sentences.
+    ``limit`` keeps only the first N sentences (0 keeps none).
     """
+    if limit is not None and limit < 0:
+        raise ValidationError(f"limit must be >= 0, got {limit}")
     corpus: TokenizedCorpus = []
-    with Path(path).open("r", encoding="utf-8") as fh:
+    if limit == 0:
+        return corpus
+    with Path(path).open("r", encoding="utf-8-sig") as fh:
         for line in fh:
             tokens = line.split()
             if not tokens:
@@ -122,12 +127,14 @@ def read_parallel(src_path, tgt_path) -> ParallelCorpus:
     """Pair line i of the source file with line i of the target file.
 
     Line counts must match exactly; pairs where either side is blank are
-    dropped with a counted warning.
+    dropped with a counted warning. Lines are split as ``read_mono`` splits
+    them, at ``\n``, ``\r\n`` or ``\r`` only: a U+2028 or form feed inside
+    a line does not end it.
     """
-    with Path(src_path).open("r", encoding="utf-8") as fh:
-        src_lines = fh.read().splitlines()
-    with Path(tgt_path).open("r", encoding="utf-8") as fh:
-        tgt_lines = fh.read().splitlines()
+    with Path(src_path).open("r", encoding="utf-8-sig") as fh:
+        src_lines = list(fh)
+    with Path(tgt_path).open("r", encoding="utf-8-sig") as fh:
+        tgt_lines = list(fh)
     if len(src_lines) != len(tgt_lines):
         raise ValidationError(
             f"parallel line count mismatch: {src_path} has {len(src_lines)} lines, "
@@ -222,7 +229,7 @@ def _read_two_col(path, schema: Schema, token_col: int, label_col: int) -> Label
         sentences.append(sent)
         rows.clear()
 
-    with path.open("r", encoding="utf-8") as fh:
+    with path.open("r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n").rstrip("\r")
             if not line.strip():
@@ -305,7 +312,7 @@ def _read_conllu(path, schema: Schema) -> LabeledCorpus:
         word_lines.clear()
 
     lineno = 0
-    with path.open("r", encoding="utf-8") as fh:
+    with path.open("r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n").rstrip("\r")
             if not line.strip():
@@ -397,7 +404,7 @@ def _write_conllu(corpus: LabeledCorpus, path) -> None:
 
 def sniff_format(path) -> Format:
     """Guess TwoColumn vs CoNLL-U from the first non-blank lines."""
-    with Path(path).open("r", encoding="utf-8") as fh:
+    with Path(path).open("r", encoding="utf-8-sig") as fh:
         seen = 0
         for line in fh:
             line = line.rstrip("\n")

@@ -152,7 +152,7 @@ def load_lexicon(
     meta: dict[str, str] = {}
     lex = Lexicon()
     dropped = 0
-    with path.open("r", encoding="utf-8") as fh:
+    with path.open("r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n").rstrip("\r")
             if not line.strip():

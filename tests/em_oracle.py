@@ -47,3 +47,29 @@ def brute_force_model1(corpus, iterations, case_fold=True):
             for f in row:
                 t[e][f] = row[f] / total
     return t, lls
+
+
+def brute_force_viterbi(corpus, t, case_fold=True):
+    """Returns one set of (source index, target index) links per sentence.
+
+    t[src][tgt] is a conditional probability with the NULL row under NULL; a
+    word or pair missing from t has probability 0. Each target token links
+    to its most probable source token, the lowest index among equals, unless
+    NULL is strictly more probable than that token; NULL loses ties.
+    """
+    out = []
+    for src, tgt in corpus:
+        if case_fold:
+            src = [w.casefold() for w in src]
+            tgt = [w.casefold() for w in tgt]
+        links = set()
+        for j, f in enumerate(tgt):
+            best_i, best_p = None, None
+            for i, e in enumerate(src):
+                p = t.get(e, {}).get(f, 0.0)
+                if best_p is None or p > best_p:
+                    best_i, best_p = i, p
+            if best_i is not None and best_p >= t.get(NULL, {}).get(f, 0.0):
+                links.add((best_i, j))
+        out.append(links)
+    return out

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import verse_corpus
-from em_oracle import NULL, brute_force_model1
+from em_oracle import NULL, brute_force_model1, brute_force_viterbi
 from lexsynth.align import (
     NULL_WORD,
     AlignerConfig,
@@ -185,6 +185,55 @@ class TestViterbi:
         table = make_table({NULL_WORD: {"x": 0.5}, "a": {"x": 0.5}}, ["x"])
         [alignment] = viterbi_align([(["novel"], ["unseen"])], table)
         assert alignment.links == {(0, 0)}  # all-zero probs: first real token wins
+
+    def test_empty_sides_have_no_links(self):
+        table = make_table({NULL_WORD: {"x": 0.5}, "a": {"x": 0.5}}, ["x"])
+        assert viterbi_align([], table) == []
+        alignments = viterbi_align([([], ["x"]), (["a"], [])], table)
+        assert [(a.links, a.src_len, a.tgt_len) for a in alignments] == [
+            (frozenset(), 0, 1), (frozenset(), 1, 0),
+        ]
+        [alone] = viterbi_align([(["a"], [])], table)  # no target token at all
+        assert alone.links == frozenset()
+
+    def assert_matches_oracle(self, corpus, table, rows):
+        alignments = viterbi_align(corpus, table)
+        assert [set(a.links) for a in alignments] == brute_force_viterbi(corpus, rows)
+        assert [(a.src_len, a.tgt_len) for a in alignments] == [
+            (len(src), len(tgt)) for src, tgt in corpus
+        ]
+
+    def test_matches_oracle_on_trained_tables(self):
+        rng = random.Random(2024)
+        for _ in range(30):
+            corpus = random_corpus(rng, max_pairs=8, max_vocab=6, max_len=6)
+            table = train_model1(corpus, AlignerConfig(iterations=rng.randint(1, 5)))
+            # unseen words and case variants next to the training sentences
+            probe = corpus + [
+                ([w.upper() for w in src] + ["s99"], tgt + ["t99"]) for src, tgt in corpus
+            ]
+            self.assert_matches_oracle(probe, table, table.probs())
+
+    def test_matches_oracle_on_hand_built_tables_with_ties(self):
+        rng = random.Random(77)
+        levels = [0.0, 0.125, 0.25, 0.5]  # few distinct values, so many exact ties
+        for _ in range(60):
+            src_vocab = [f"s{i}" for i in range(rng.randint(1, 4))]
+            tgt_vocab = [f"t{i}" for i in range(rng.randint(1, 4))]
+            rows = {
+                e: {f: rng.choice(levels) for f in tgt_vocab if rng.random() < 0.7}
+                for e in [NULL_WORD] + src_vocab
+            }
+            table = make_table(rows, tgt_vocab)
+            # "sx"/"tx" are unknown to the table; short vocabularies repeat tokens
+            words_s = src_vocab + ["sx"]
+            words_t = tgt_vocab + ["tx"]
+            corpus = [
+                ([rng.choice(words_s) for _ in range(rng.randint(0, 5))],
+                 [rng.choice(words_t) for _ in range(rng.randint(0, 5))])
+                for _ in range(rng.randint(1, 6))
+            ]
+            self.assert_matches_oracle(corpus, table, rows)
 
 
 class TestSymmetrize:

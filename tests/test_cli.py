@@ -283,6 +283,55 @@ class TestUsage:
         assert "lexsynth" in capsys.readouterr().out
 
 
+class TestNumericFlags:
+    """Out-of-range numeric flags are usage errors: exit 1, nothing written."""
+
+    def induce(self, tmp_path, *flags):
+        src = tmp_path / "src.txt"
+        tgt = tmp_path / "tgt.txt"
+        src.write_text("the house\na house\n", encoding="utf-8")
+        tgt.write_text("das haus\nein haus\n", encoding="utf-8")
+        return ["lex", "induce", "--src", str(src), "--tgt", str(tgt),
+                "--out", str(tmp_path / "out"), "--dump-alignments", str(tmp_path / "al"),
+                *flags]
+
+    def mono(self, tmp_path, *flags):
+        lex = lexicon_file(tmp_path, [("a", "x")])
+        corpus = tmp_path / "mono.txt"
+        corpus.write_text("a\n" * 3, encoding="utf-8")
+        return ["synth", "mono", "--corpus", str(corpus), "--lexicon", str(lex),
+                "--out", str(tmp_path / "out"), "--report", str(tmp_path / "report"),
+                "--seed", "1", *flags]
+
+    def labeled(self, tmp_path, *flags):
+        lex = lexicon_file(tmp_path, LABELED_LEX_PAIRS)
+        data = two_col_file(tmp_path, LABELED_SRC, LABELED_TAGS)
+        return ["synth", "labeled", "--input", str(data), "--format", "two-col",
+                "--schema", "pos", "--lexicon", str(lex), "--out", str(tmp_path / "out"),
+                "--report", str(tmp_path / "report"), "--seed", "3", *flags]
+
+    @pytest.mark.parametrize("command,flags", [
+        ("induce", ("--threads", "0")),
+        ("induce", ("--threads", "-2")),
+        ("induce", ("--iterations", "0")),
+        ("induce", ("--min-count", "0")),
+        ("induce", ("--iterations", "two")),
+        ("mono", ("--threads", "0")),
+        ("mono", ("--limit", "-3")),
+        ("labeled", ("--threads", "0")),
+    ])
+    def test_rejected_with_exit_1_and_no_output(self, tmp_path, capsys, command, flags):
+        argv = getattr(self, command)(tmp_path, *flags)
+        inputs = set(tmp_path.iterdir())
+        assert main(argv) == 1
+        assert flags[0] in capsys.readouterr().err
+        assert set(tmp_path.iterdir()) == inputs  # no output, no temp file
+
+    def test_mono_limit_zero_writes_empty_corpus(self, tmp_path):
+        assert main(self.mono(tmp_path, "--limit", "0")) == 0
+        assert (tmp_path / "out").read_text(encoding="utf-8") == ""
+
+
 def test_end_to_end_few_text_pipeline(tmp_path, capsys):
     """induce -> merge -> synth mono -> mix upsample -> mix concat, then a
     pipeline summary naming all five stages."""

@@ -52,6 +52,18 @@ class TestMono:
         path = write(tmp_path, "a b\nc", "m.txt")
         assert read_mono(path) == [["a", "b"], ["c"]]
 
+    def test_limit_zero_keeps_nothing(self, tmp_path):
+        path = write(tmp_path, "a\nb\n", "m.txt")
+        assert read_mono(path, limit=0) == []
+
+    def test_negative_limit_rejected(self, tmp_path):
+        with pytest.raises(ValidationError, match="limit"):
+            read_mono(write(tmp_path, "a\nb\n", "m.txt"), limit=-3)
+
+    def test_leading_bom_stripped(self, tmp_path):
+        path = write(tmp_path, "\ufeffa b\nc\n", "m.txt")
+        assert read_mono(path) == [["a", "b"], ["c"]]
+
 
 class TestParallel:
     def test_pairing(self, tmp_path):
@@ -73,6 +85,24 @@ class TestParallel:
             pairs = read_parallel(src, tgt)
         assert pairs == [(["a"], ["x"]), (["c"], ["z"])]
         assert "1" in caplog.text
+
+    def test_unicode_line_separators_do_not_split_lines(self, tmp_path):
+        # str.splitlines() would break both sides at U+2028 and keep the
+        # counts equal while shifting every later pair.
+        src = write(tmp_path, "a b\u2028c\nd e\n", "s.txt")
+        tgt = write(tmp_path, "x\u2028y\nz\n", "t.txt")
+        assert read_parallel(src, tgt) == [(["a", "b", "c"], ["x", "y"]), (["d", "e"], ["z"])]
+        assert read_mono(src) == [["a", "b", "c"], ["d", "e"]]
+
+    def test_other_splitlines_breaks_do_not_split_lines(self, tmp_path):
+        src = write(tmp_path, "a\x85b\x0cc\x1cd\n", "s.txt")
+        tgt = write(tmp_path, "x\n", "t.txt")
+        assert len(read_parallel(src, tgt)) == 1
+
+    def test_leading_bom_stripped(self, tmp_path):
+        src = write(tmp_path, "\ufeffa\n", "s.txt")
+        tgt = write(tmp_path, "\ufeffx\n", "t.txt")
+        assert read_parallel(src, tgt) == [(["a"], ["x"])]
 
 
 class TestTokenizeBasic:
@@ -150,6 +180,10 @@ class TestTwoColumn:
         with pytest.raises(ValidationError):
             read_labeled(path, Schema.DEP)
 
+    def test_leading_bom_stripped(self, tmp_path):
+        corpus = read_labeled(write(tmp_path, "\ufeff" + TWO_COL, "x.tsv"), Schema.POS)
+        assert corpus.sentences[0].tokens == ["I", "suspect"]
+
 
 class TestConllu:
     def test_pos_parse(self, tmp_path):
@@ -196,6 +230,12 @@ class TestConllu:
             out = tmp_path / f"out_{schema.value}.conllu"
             write_labeled(read_labeled(original, schema, Format.CONLLU), out, Format.CONLLU)
             assert out.read_bytes() == original.read_bytes()
+
+    def test_leading_bom_stripped(self, tmp_path):
+        path = write(tmp_path, "\ufeff" + CONLLU, "x.conllu")
+        assert sniff_format(path) is Format.CONLLU
+        corpus = read_labeled(path, Schema.POS, Format.CONLLU)
+        assert corpus.sentences[0].passthrough.rows[0] == ("raw", CONLLU.splitlines()[0])
 
     def test_write_without_passthrough(self, tmp_path):
         sent = LabeledSentence(["a", "b"], Schema.DEP, heads=[2, 0], deprels=["nsubj", "root"])

@@ -88,6 +88,11 @@ class TestLoad:
         lex, _ = load_lexicon(write(tmp_path, "a\tx   y\n"))
         assert lex.lookup("a")[0].target == "x y"
 
+    def test_leading_bom_stripped(self, tmp_path):
+        lex, _ = load_lexicon(write(tmp_path, "\ufeffa\tx\nb\ty\n"))
+        assert [e.target for e in lex.lookup("a")] == ["x"]
+        assert "\ufeffa" not in lex
+
 
 class TestRoundTrip:
     def test_save_load_idempotent(self, tmp_path):
