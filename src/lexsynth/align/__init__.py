@@ -7,7 +7,6 @@ from .model1 import (
     SentenceAlignment,
     Symmetrization,
     TranslationTable,
-    backend_name,
     swap_corpus,
     train_model1,
     viterbi_align,
@@ -19,7 +18,6 @@ __all__ = [
     "SentenceAlignment",
     "Symmetrization",
     "TranslationTable",
-    "backend_name",
     "induce_lexicon",
     "swap_corpus",
     "symmetrize",

@@ -1,12 +1,6 @@
-"""Pure-Python (numpy) EM E-step kernel, the fallback for the compiled one.
-
-Both kernels accumulate expected counts in slot order within a chunk, so they
-agree to the last bit; only the log-likelihood reduction order differs.
-"""
+"""The EM E-step over one chunk of the slot layout, in numpy."""
 
 import numpy as np
-
-BACKEND = "python"
 
 
 def estep_chunk(t, k_flat, g_flat, group_ptr, g_lo, g_hi, n_pairs):

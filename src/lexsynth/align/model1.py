@@ -10,11 +10,10 @@ NULL; the slots of one target token form its group, NULL first. Each slot
 holds the index of its (source type, target type) pair among the sorted
 distinct pair keys, all found by a single ``np.unique``.
 
-EM runs on that layout. The E-step spreads each group's posterior over its
-slots' pairs, through a compiled kernel when available and a numpy fallback
-otherwise (see ``backend_name``). Expected counts are accumulated per
-fixed-size sentence chunk and the chunk partials are combined in ascending
-chunk order, so results are identical for any worker count.
+EM runs on that layout. The E-step (``_em_numpy.estep_chunk``, in numpy)
+spreads each group's posterior over its slots' pairs. It runs once per
+fixed-size sentence chunk, which bounds its slot-sized temporaries, and the
+chunk partials are summed in ascending chunk order.
 
 Viterbi builds the same layout for the corpus it aligns and reads each
 distinct pair's probability from the table with one batched
@@ -29,8 +28,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,33 +35,16 @@ import numpy as np
 from ..corpus_io import ParallelCorpus
 from ..errors import ValidationError
 from ..lexicon import UND
+from . import _em_numpy
 
 NULL_WORD = "<NULL>"
 
 _CHUNK_SENTS = 1024
 
-
-def _load_kernel(name: str | None):
-    name = name or os.environ.get("LEXSYNTH_EM_BACKEND", "auto")
-    if name not in ("auto", "native", "python"):
-        raise ValidationError(f"unknown EM backend {name!r}")
-    if name in ("auto", "native"):
-        try:
-            from . import _em_kernel
-            return _em_kernel
-        except ImportError:
-            if name == "native":
-                raise
-    from . import _em_numpy
-    return _em_numpy
-
-
-_DEFAULT_KERNEL = _load_kernel(None)
-
-
-def backend_name() -> str:
-    """Which E-step kernel is active: "native" (compiled) or "python"."""
-    return _DEFAULT_KERNEL.BACKEND
+# The E-step is called through this module attribute rather than imported by
+# name: the benchmark's tracer (perfbench/spans.py) finds it as
+# ``_DEFAULT_KERNEL.estep_chunk`` and wraps it there to time the E-step.
+_DEFAULT_KERNEL = _em_numpy
 
 
 class Symmetrization(enum.Enum):
@@ -80,15 +60,12 @@ class AlignerConfig:
     symmetrization: Symmetrization = Symmetrization.INTERSECTION
     case_fold: bool = True
     keep_punct: bool = False
-    threads: int = 1
 
     def __post_init__(self):
         if self.iterations < 1:
             raise ValidationError("iterations must be >= 1")
         if self.min_count < 1:
             raise ValidationError("min_count must be >= 1")
-        if self.threads < 1:
-            raise ValidationError("threads must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -138,10 +115,11 @@ class TranslationTable:
         return self.log_likelihoods[-1]
 
     def _fold(self, word: str) -> str:
-        return word.casefold() if self.case_fold and word != NULL_WORD else word
+        return word.casefold() if self.case_fold else word
 
     def src_id(self, word: str) -> int:
-        return self._src_index.get(self._fold(word), -1)
+        """Row of a source word; ``NULL_WORD`` names the NULL row."""
+        return 0 if word == NULL_WORD else self._src_index.get(self._fold(word), -1)
 
     def tgt_id(self, word: str) -> int:
         return self._tgt_index.get(self._fold(word), -1)
@@ -190,6 +168,25 @@ def _validate_corpus(corpus: ParallelCorpus) -> None:
     for n, (s, t) in enumerate(corpus):
         if not s or not t:
             raise ValidationError(f"parallel pair {n} has an empty side")
+
+
+def _source_fold(case_fold: bool):
+    """How a corpus source token is keyed in the source index.
+
+    A token spelled ``NULL_WORD`` must not take the NULL row: folding keys
+    it apart from NULL, and without folding it is rejected.
+    """
+    if case_fold:
+        return str.casefold
+
+    def key(word: str) -> str:
+        if word == NULL_WORD:
+            raise ValidationError(
+                f"source token {NULL_WORD!r} is reserved for the NULL word; "
+                "it is only accepted with case folding")
+        return word
+
+    return key
 
 
 def _token_ids(sentences, word_id) -> tuple[np.ndarray, np.ndarray]:
@@ -258,7 +255,6 @@ def train_model1(
     cfg: AlignerConfig = AlignerConfig(),
     src_lang: str = UND,
     tgt_lang: str = UND,
-    backend: str | None = None,
 ) -> TranslationTable:
     """Train t(target | source) by EM.
 
@@ -268,13 +264,13 @@ def train_model1(
     type, and records the corpus log-likelihood under the pre-update table.
     """
     _validate_corpus(corpus)
-    kernel = _DEFAULT_KERNEL if backend is None else _load_kernel(backend)
+    src_fold = _source_fold(cfg.case_fold)
     fold = str.casefold if cfg.case_fold else str
 
     src_index: dict[str, int] = {NULL_WORD: 0}
     tgt_index: dict[str, int] = {}
     src_lens, src_flat = _token_ids(
-        [s for s, _ in corpus], lambda w: src_index.setdefault(fold(w), len(src_index)))
+        [s for s, _ in corpus], lambda w: src_index.setdefault(src_fold(w), len(src_index)))
     tgt_lens, tgt_flat = _token_ids(
         [t for _, t in corpus], lambda w: tgt_index.setdefault(fold(w), len(tgt_index)))
     n_src = len(src_index)
@@ -298,47 +294,24 @@ def train_model1(
         hi = min(lo + _CHUNK_SENTS, n_sents)
         chunks.append((int(sent_groups[lo]), int(sent_groups[hi])))
 
-    # Expected counts are always accumulated per chunk and combined in chunk
-    # order, so any worker count reproduces the same floating-point result.
-    pool = None
-    if cfg.threads > 1 and len(chunks) > 1:
-        pool = ThreadPoolExecutor(max_workers=cfg.threads)
-    try:
-        log_likelihoods: list[float] = []
-        for _ in range(cfg.iterations):
-            counts = np.zeros(n_pairs)
-            ll = 0.0
-            if pool is None:
-                for g_lo, g_hi in chunks:
-                    part, part_ll = kernel.estep_chunk(
-                        t, k_flat, g_flat, group_ptr, g_lo, g_hi, n_pairs)
-                    counts += part
-                    ll += part_ll
-            else:
-                # waves bound the number of in-flight partial count arrays
-                for wave_start in range(0, len(chunks), cfg.threads):
-                    wave = chunks[wave_start:wave_start + cfg.threads]
-                    futs = [
-                        pool.submit(kernel.estep_chunk,
-                                    t, k_flat, g_flat, group_ptr, g_lo, g_hi, n_pairs)
-                        for g_lo, g_hi in wave
-                    ]
-                    for fut in futs:
-                        part, part_ll = fut.result()
-                        counts += part
-                        ll += part_ll
-            log_likelihoods.append(ll)
-            row_sums = np.add.reduceat(counts, row_ptr[:-1])
-            t = counts / np.repeat(row_sums, row_len)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    log_likelihoods: list[float] = []
+    for _ in range(cfg.iterations):
+        counts = np.zeros(n_pairs)
+        ll = 0.0
+        for g_lo, g_hi in chunks:
+            part, part_ll = _DEFAULT_KERNEL.estep_chunk(
+                t, k_flat, g_flat, group_ptr, g_lo, g_hi, n_pairs)
+            counts += part
+            ll += part_ll
+        log_likelihoods.append(ll)
+        row_sums = np.add.reduceat(counts, row_ptr[:-1])
+        t = counts / np.repeat(row_sums, row_len)
 
     return TranslationTable(
         src_lang=src_lang,
         tgt_lang=tgt_lang,
         case_fold=cfg.case_fold,
-        src_words=[NULL_WORD] + [w for w in src_index if w != NULL_WORD],
+        src_words=list(src_index),
         tgt_words=list(tgt_index),
         log_likelihoods=log_likelihoods,
         _src_index=src_index,
@@ -357,7 +330,9 @@ def viterbi_align(corpus: ParallelCorpus, table: TranslationTable) -> list[Sente
     index, and NULL loses ties to any real token. Words or pairs the table
     does not know have probability 0.
     """
-    src_lens, src_flat = _token_ids([s for s, _ in corpus], table.src_id)
+    src_fold = _source_fold(table.case_fold)
+    src_lens, src_flat = _token_ids(
+        [s for s, _ in corpus], lambda w: table._src_index.get(src_fold(w), -1))
     tgt_lens, tgt_flat = _token_ids([t for _, t in corpus], table.tgt_id)
     group_ptr, g_flat, pair_keys, k_flat = _slot_layout(
         src_lens, src_flat, tgt_lens, tgt_flat, table.target_vocab_size)

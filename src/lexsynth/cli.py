@@ -47,7 +47,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _Outputs:
-    """Deferred, all-or-nothing file writes: nothing lands on failure."""
+    """Deferred, all-or-nothing file writes: nothing lands on failure.
+
+    Each output is written to a temp file named after this process and then
+    renamed over the target, so concurrent runs with the same output path
+    never share a temp file.
+    """
 
     def __init__(self):
         self._writes = []
@@ -59,7 +64,7 @@ class _Outputs:
         tmps = []
         try:
             for path, write_fn in self._writes:
-                tmp = path.with_name(path.name + ".tmp~")
+                tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp~")
                 write_fn(tmp)
                 tmps.append((tmp, path))
         except BaseException:
@@ -112,7 +117,6 @@ def _cmd_lex_induce(args) -> int:
         symmetrization=Symmetrization(args.symmetrization),
         case_fold=not args.no_case_fold,
         keep_punct=args.keep_punct,
-        threads=args.threads,
     )
     corpus = corpus_io.read_parallel(args.src, args.tgt)
     forward_table = train_model1(corpus, cfg)
@@ -140,9 +144,7 @@ def _cmd_synth_mono(args) -> int:
     if dropped:
         logger.warning("skipped %d unusable line(s) in %s", dropped, args.lexicon)
     corpus = corpus_io.read_mono(args.corpus, limit=args.limit)
-    pseudo, report = synth.synth_mono(
-        corpus, lex, SynthesisConfig(seed=args.seed), threads=args.threads
-    )
+    pseudo, report = synth.synth_mono(corpus, lex, SynthesisConfig(seed=args.seed))
     out = _Outputs()
     out.add(args.out, lambda p: corpus_io.write_mono(pseudo, p))
     if args.report:
@@ -158,9 +160,7 @@ def _cmd_synth_labeled(args) -> int:
         logger.info("dropped %d multi-token entries from %s", dropped, args.lexicon)
     fmt = Format(args.format)
     corpus = corpus_io.read_labeled(args.input, Schema(args.schema), fmt)
-    pseudo, report = synth.synth_labeled(
-        corpus, lex, SynthesisConfig(seed=args.seed), threads=args.threads
-    )
+    pseudo, report = synth.synth_labeled(corpus, lex, SynthesisConfig(seed=args.seed))
     out = _Outputs()
     out.add(args.out, lambda p: corpus_io.write_labeled(pseudo, p, fmt))
     if args.report:
@@ -249,7 +249,7 @@ def _int_at_least(minimum: int):
 
 def _add_threads(parser):
     parser.add_argument("--threads", type=_int_at_least(1), default=1,
-                        help="worker threads; output is identical for any value")
+                        help="accepted for compatibility; has no effect on speed or output")
 
 
 def build_parser() -> _Parser:

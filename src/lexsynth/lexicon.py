@@ -103,17 +103,6 @@ class Lexicon:
         for cands in self.entries.values():
             yield from cands
 
-    def has_multi_token_targets(self) -> bool:
-        return any(e.is_multi_token for e in self.iter_entries())
-
-    def single_token_subset(self) -> "Lexicon":
-        """Copy with every multi-token target removed."""
-        out = Lexicon(self.src_lang, self.tgt_lang)
-        for e in self.iter_entries():
-            if not e.is_multi_token:
-                out.add(e.source, e.target, e.provenance)
-        return out
-
 
 @dataclass(frozen=True)
 class LexiconStats:

@@ -3,14 +3,12 @@
 Every token is looked up case-insensitively; covered tokens are replaced by
 one of their candidate translations, the rest pass through unchanged. The
 candidate draw for a position depends only on (seed, sentence index, token
-index), so output is byte-identical across runs and across any sentence-level
-parallelism.
+index), so output is byte-identical across runs.
 """
 
 from __future__ import annotations
 
 import enum
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .corpus_io import LabeledCorpus, LabeledSentence, TokenizedCorpus, TokenizedSentence
@@ -43,16 +41,10 @@ class CasePolicy(enum.Enum):
     RESTORE_CASE = "restore-case"
 
 
-class Sampling(enum.Enum):
-    # every occurrence of an ambiguous word draws independently
-    PER_OCCURRENCE_UNIFORM = "per-occurrence-uniform"
-
-
 @dataclass(frozen=True)
 class SynthesisConfig:
     seed: int
     case_policy: CasePolicy = CasePolicy.LEXICON_FORM
-    sampling: Sampling = Sampling.PER_OCCURRENCE_UNIFORM
 
     def __post_init__(self):
         if not isinstance(self.seed, int):
@@ -95,13 +87,6 @@ class _Tally:
         if hit:
             self.replaced += 1
             self.covered.add(key)
-
-    def merge(self, other: "_Tally"):
-        self.total += other.total
-        self.replaced += other.replaced
-        self.types |= other.types
-        self.covered |= other.covered
-        self.sentences += other.sentences
 
     def report(self) -> CoverageReport:
         return CoverageReport(
@@ -152,52 +137,28 @@ def translate_tokens(
     return out
 
 
-_CHUNK = 4096
-
-
-def _chunked(n: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
-
-
 def synth_mono(
     corpus: TokenizedCorpus,
     lex: Lexicon,
     cfg: SynthesisConfig,
-    threads: int = 1,
 ) -> tuple[TokenizedCorpus, CoverageReport]:
     """Pseudo monolingual synthesis: sentence i is translated with stream i.
 
     The coverage report counts input positions, so replacement_rate is
     unaffected by multi-token expansion.
     """
-
-    def run_chunk(lo: int, hi: int):
-        tally = _Tally()
-        chunk = []
-        for i in range(lo, hi):
-            chunk.append(translate_tokens(corpus[i], lex, cfg, i, _tally=tally))
-            tally.sentences += 1
-        return chunk, tally
-
-    total = _Tally()
+    tally = _Tally()
     out: TokenizedCorpus = []
-    spans = _chunked(len(corpus))
-    if threads <= 1 or len(spans) <= 1:
-        results = [run_chunk(lo, hi) for lo, hi in spans]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda span: run_chunk(*span), spans))
-    for chunk, tally in results:
-        out.extend(chunk)
-        total.merge(tally)
-    return out, total.report()
+    for i, sentence in enumerate(corpus):
+        out.append(translate_tokens(sentence, lex, cfg, i, _tally=tally))
+        tally.sentences += 1
+    return out, tally.report()
 
 
 def synth_labeled(
     corpus: LabeledCorpus,
     lex: Lexicon,
     cfg: SynthesisConfig,
-    threads: int = 1,
 ) -> tuple[LabeledCorpus, CoverageReport]:
     """Pseudo labeled synthesis: tokens replaced 1:1, every annotation kept.
 
@@ -211,40 +172,25 @@ def synth_labeled(
                 "labeled synthesis requires a single-token-only lexicon"
             )
 
-    def run_chunk(lo: int, hi: int):
-        tally = _Tally()
-        chunk = []
-        for i in range(lo, hi):
-            sent = corpus.sentences[i]
-            tokens = []
-            for token_index, token in enumerate(sent.tokens):
-                target = _pick(token, lex, cfg, i, token_index, tally)
-                tokens.append(token if target is None else target)
-            chunk.append(
-                LabeledSentence(
-                    tokens,
-                    sent.schema,
-                    labels=sent.labels,
-                    heads=sent.heads,
-                    deprels=sent.deprels,
-                    passthrough=sent.passthrough,
-                )
-            )
-            tally.sentences += 1
-        return chunk, tally
-
-    total = _Tally()
+    tally = _Tally()
     out: list[LabeledSentence] = []
-    spans = _chunked(len(corpus.sentences))
-    if threads <= 1 or len(spans) <= 1:
-        results = [run_chunk(lo, hi) for lo, hi in spans]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda span: run_chunk(*span), spans))
-    for chunk, tally in results:
-        out.extend(chunk)
-        total.merge(tally)
-    return LabeledCorpus(corpus.schema, out), total.report()
+    for i, sent in enumerate(corpus.sentences):
+        tokens = []
+        for token_index, token in enumerate(sent.tokens):
+            target = _pick(token, lex, cfg, i, token_index, tally)
+            tokens.append(token if target is None else target)
+        out.append(
+            LabeledSentence(
+                tokens,
+                sent.schema,
+                labels=sent.labels,
+                heads=sent.heads,
+                deprels=sent.deprels,
+                passthrough=sent.passthrough,
+            )
+        )
+        tally.sentences += 1
+    return LabeledCorpus(corpus.schema, out), tally.report()
 
 
 def coverage(corpus: TokenizedCorpus | LabeledCorpus, lex: Lexicon) -> CoverageReport:

@@ -78,6 +78,27 @@ class TestLexCommands:
         assert "3" in err and "4" in err
         assert not out.exists()
 
+    def null_token_induce(self, tmp_path, *flags):
+        src = tmp_path / "src.txt"
+        tgt = tmp_path / "tgt.txt"
+        src.write_text("<NULL> a\na\n", encoding="utf-8")
+        tgt.write_text("x y\ny\n", encoding="utf-8")
+        return ["lex", "induce", "--src", str(src), "--tgt", str(tgt),
+                "--out", str(tmp_path / "out.tsv"), "--dump-alignments",
+                str(tmp_path / "al.txt"), "--min-count", "1", *flags]
+
+    def test_induce_null_spelled_token_is_an_ordinary_word(self, tmp_path):
+        assert main(self.null_token_induce(tmp_path)) == 0
+        assert (tmp_path / "al.txt").read_text(encoding="utf-8") == "0-0 1-1\n0-0\n"
+        assert "<null>\tx\n" in (tmp_path / "out.tsv").read_text(encoding="utf-8")
+
+    def test_induce_null_spelled_token_without_folding_exit_3(self, tmp_path, capsys):
+        argv = self.null_token_induce(tmp_path, "--no-case-fold")
+        inputs = set(tmp_path.iterdir())
+        assert main(argv) == 3
+        assert "<NULL>" in capsys.readouterr().err
+        assert set(tmp_path.iterdir()) == inputs  # no output, no temp file
+
 
 class TestSynthCommands:
     def test_mono_reproducible(self, tmp_path):
@@ -330,6 +351,21 @@ class TestNumericFlags:
     def test_mono_limit_zero_writes_empty_corpus(self, tmp_path):
         assert main(self.mono(tmp_path, "--limit", "0")) == 0
         assert (tmp_path / "out").read_text(encoding="utf-8") == ""
+
+
+def test_commit_leaves_another_runs_temp_file_alone(tmp_path):
+    lex = lexicon_file(tmp_path, [("a", "x")])
+    corpus = tmp_path / "mono.txt"
+    corpus.write_text("a\n", encoding="utf-8")
+    out = tmp_path / "out.txt"
+    other = tmp_path / "out.txt.tmp~"  # as left mid-write by a concurrent run
+    other.write_text("another run\n", encoding="utf-8")
+    before = set(tmp_path.iterdir())
+    assert main(["synth", "mono", "--corpus", str(corpus), "--lexicon", str(lex),
+                 "--out", str(out), "--seed", "1"]) == 0
+    assert out.read_text(encoding="utf-8") == "x\n"
+    assert other.read_text(encoding="utf-8") == "another run\n"
+    assert set(tmp_path.iterdir()) == before | {out}
 
 
 def test_end_to_end_few_text_pipeline(tmp_path, capsys):

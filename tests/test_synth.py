@@ -92,15 +92,6 @@ class TestSynthMono:
         b, _ = synth_mono(corpus, lex, SynthesisConfig(seed=2))
         assert a != b
 
-    def test_threads_do_not_change_output(self, mono_lexicon):
-        rng = random.Random(3)
-        corpus = [[rng.choice(MONO_SRC.split()) for _ in range(rng.randint(1, 30))]
-                  for _ in range(5000)]
-        seq, rep1 = synth_mono(corpus, mono_lexicon, SynthesisConfig(seed=5), threads=1)
-        par, rep8 = synth_mono(corpus, mono_lexicon, SynthesisConfig(seed=5), threads=8)
-        assert seq == par
-        assert rep1 == rep8
-
     def test_sentence_count_preserved_with_expansion(self):
         lex = build_lexicon([("a", "x y z")])
         corpus = [["a"], ["a", "a"], ["b"]]
