@@ -8,7 +8,11 @@ Training and Viterbi alignment share one slot layout (``_slot_layout``). A
 slot is one (sentence, target token, source position), position 0 being
 NULL; the slots of one target token form its group, NULL first. Each slot
 holds the index of its (source type, target type) pair among the sorted
-distinct pair keys, all found by a single ``np.unique``.
+distinct pair keys. One ``argsort`` of the slot keys finds them all: a
+first-of-run mask over the sorted keys picks the distinct keys, and its
+cumulative sum, scattered back through the sort order, gives each slot's
+index. That is ``np.unique(keys, return_inverse=True)`` without its extra
+slot-sized copies, which would set the peak memory of ``lex induce``.
 
 EM runs on that layout. The E-step (``_em_numpy.estep_chunk``, in numpy)
 spreads each group's posterior over its slots' pairs. It runs once per
@@ -243,9 +247,23 @@ def _slot_layout(src_lens, src_flat, tgt_lens, tgt_flat, n_tgt):
     keys += slot_f
     keys[(slot_e < 0) | (slot_f < 0)] = -1
     del slot_e, slot_f
-    pair_keys, k_flat = np.unique(keys, return_inverse=True)
+    # np.unique(keys, return_inverse=True) done by hand: it would copy keys
+    # and hold about six slot-sized arrays at once; here each temporary is
+    # dropped as soon as it is dead, so at most three are alive together.
+    order = np.argsort(keys)
+    keys = keys[order]
+    first = np.empty(n_slots, dtype=bool)  # first slot of each run of equal keys
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    pair_keys = keys[first]
     del keys
-    # made last, so it is not alive while np.unique sorts
+    ranks = np.cumsum(first, dtype=np.int64)
+    del first
+    ranks -= 1
+    k_flat = np.empty(n_slots, dtype=np.int64)
+    k_flat[order] = ranks
+    del order, ranks
+    # made last, so it is not alive during the sort
     g_flat = np.repeat(np.arange(n_groups, dtype=np.int64), widths)
     return group_ptr, g_flat, pair_keys, k_flat
 

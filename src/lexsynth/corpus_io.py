@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import enum
 import logging
-import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -156,37 +155,6 @@ def read_parallel(src_path, tgt_path) -> ParallelCorpus:
 def write_parallel(corpus: ParallelCorpus, src_path, tgt_path) -> None:
     write_mono([s for s, _ in corpus], src_path)
     write_mono([t for _, t in corpus], tgt_path)
-
-
-# Apostrophes and hyphens are never split off, even at token edges.
-_ATTACHED = {"'", "’", "-"}
-
-
-def _is_splittable_punct(ch: str) -> bool:
-    return unicodedata.category(ch).startswith("P") and ch not in _ATTACHED
-
-
-def tokenize_basic(text: str) -> TokenizedSentence:
-    """Fallback whitespace + edge-punctuation tokenizer.
-
-    Splits on Unicode whitespace, then peels leading/trailing punctuation off
-    each chunk into separate tokens. Word-internal characters are never split.
-    """
-    tokens: TokenizedSentence = []
-    for chunk in text.split():
-        lead: list[str] = []
-        trail: list[str] = []
-        while chunk and _is_splittable_punct(chunk[0]):
-            lead.append(chunk[0])
-            chunk = chunk[1:]
-        while chunk and _is_splittable_punct(chunk[-1]):
-            trail.append(chunk[-1])
-            chunk = chunk[:-1]
-        tokens.extend(lead)
-        if chunk:
-            tokens.append(chunk)
-        tokens.extend(reversed(trail))
-    return tokens
 
 
 def read_labeled(

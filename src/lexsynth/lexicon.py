@@ -3,7 +3,11 @@
 A lexicon maps a case-folded source word type to an ordered list of candidate
 translations. Candidates keep the order in which they were first seen in the
 input file so that seeded sampling downstream is reproducible from the same
-file.
+file. Beside each source's ordered list, ``Lexicon`` keeps a private index
+from target to list position, so adding a pair is a dictionary lookup
+rather than a scan of the source's candidates (PanLex-style sources carry
+thousands of them). Add pairs through ``Lexicon.add``; ``entries`` is for
+reading.
 
 File format: UTF-8 TSV, one ``source<TAB>target`` pair per line, ``#``
 comments and blank lines ignored. A few optional metadata comments
@@ -66,22 +70,28 @@ class Lexicon:
     src_lang: str = UND
     tgt_lang: str = UND
     entries: dict[str, list[LexiconEntry]] = field(default_factory=dict)
+    # source -> target -> index of that candidate in entries[source]
+    _positions: dict[str, dict[str, int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def add(self, source: str, target: str, provenance: Provenance = Provenance.BASE) -> bool:
         """Add one pair; returns False if the (source, target) pair already exists.
 
         The source is case-folded for keying; the target is normalized to
-        single-space-joined tokens so serialization round-trips.
+        single-space-joined tokens so serialization round-trips. A BASE pair
+        replaces an INDUCED duplicate in place.
         """
         key = source.casefold()
         target = " ".join(target.split())
         entry = LexiconEntry(key, target, provenance)
         cands = self.entries.setdefault(key, [])
-        for i, existing in enumerate(cands):
-            if existing.target == target:
-                if provenance is Provenance.BASE and existing.provenance is Provenance.INDUCED:
-                    cands[i] = entry
-                return False
+        positions = self._positions.setdefault(key, {})
+        i = positions.get(target)
+        if i is not None:
+            if provenance is Provenance.BASE and cands[i].provenance is Provenance.INDUCED:
+                cands[i] = entry
+            return False
+        positions[target] = len(cands)
         cands.append(entry)
         return True
 

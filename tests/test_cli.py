@@ -1,3 +1,4 @@
+import gc
 import json
 
 import pytest
@@ -11,9 +12,24 @@ from conftest import (
     MONO_LEX_PAIRS,
     MONO_SRC,
     MONO_WANT,
+    verse_corpus,
+)
+from lexsynth import cli, corpus_io, mix, synth
+from lexsynth.align import (
+    AlignerConfig,
+    induce_lexicon,
+    swap_corpus,
+    symmetrize,
+    train_model1,
+    viterbi_align,
+    write_alignments,
 )
 from lexsynth.cli import main
-from lexsynth.report import pipeline_summary, summary_json
+from lexsynth.corpus_io import Format, Schema
+from lexsynth.distill import apply_teacher_labels
+from lexsynth.lexicon import LoadMode, load_lexicon, merge, save_lexicon
+from lexsynth.report import lexicon_pos_distribution, pipeline_summary, summary_json
+from lexsynth.synth import SynthesisConfig
 
 
 def lexicon_file(tmp_path, pairs, name="lex.tsv"):
@@ -351,6 +367,127 @@ class TestNumericFlags:
     def test_mono_limit_zero_writes_empty_corpus(self, tmp_path):
         assert main(self.mono(tmp_path, "--limit", "0")) == 0
         assert (tmp_path / "out").read_text(encoding="utf-8") == ""
+
+
+@pytest.fixture
+def collector_state():
+    """Give the test the cyclic collector enabled and restore its state after."""
+    was_enabled = gc.isenabled()
+    gc.enable()
+    yield
+    (gc.enable if was_enabled else gc.disable)()
+
+
+class TestCollectorPause:
+    """Each command runs with the cyclic collector paused; main leaves the
+    collector as it found it, whatever the outcome."""
+
+    def mono(self, tmp_path, *, corpus="mono.txt", seed=("--seed", "1")):
+        lex = lexicon_file(tmp_path, [("a", "x")])
+        (tmp_path / "mono.txt").write_text("a b\n", encoding="utf-8")
+        return ["synth", "mono", "--corpus", str(tmp_path / corpus), "--lexicon", str(lex),
+                "--out", str(tmp_path / "out.txt"), *seed]
+
+    def scenario(self, name, tmp_path, monkeypatch):
+        """(argv, expected exit code) of one outcome of a command."""
+        if name == "ok":
+            return self.mono(tmp_path), 0
+        if name == "usage":
+            return self.mono(tmp_path, seed=()), 1
+        if name == "missing-file":
+            return self.mono(tmp_path, corpus="nope.txt"), 2
+        if name == "validation":
+            pseudo = two_col_file(tmp_path, "a b", "X Y", "pseudo.tsv")
+            teacher = two_col_file(tmp_path, "a c", "X Y", "teacher.tsv")
+            return ["distill", "apply", "--pseudo", str(pseudo), "--teacher", str(teacher),
+                    "--out", str(tmp_path / "out.tsv")], 3
+        assert name == "crash"
+
+        def crash(*args, **kwargs):
+            raise RuntimeError("unexpected")
+
+        monkeypatch.setattr(cli.synth, "synth_mono", crash)
+        return self.mono(tmp_path), RuntimeError
+
+    def test_paused_while_command_runs(self, tmp_path, monkeypatch, collector_state):
+        seen = []
+        real = cli.synth.synth_mono
+
+        def spy(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli.synth, "synth_mono", spy)
+        assert main(self.mono(tmp_path)) == 0
+        assert seen == [False]
+        assert (tmp_path / "out.txt").read_text(encoding="utf-8") == "x b\n"
+
+    @pytest.mark.parametrize("enabled_before", [True, False])
+    @pytest.mark.parametrize("outcome", ["ok", "usage", "missing-file", "validation", "crash"])
+    def test_state_restored(self, tmp_path, monkeypatch, collector_state,
+                            outcome, enabled_before):
+        argv, want = self.scenario(outcome, tmp_path, monkeypatch)
+        if not enabled_before:
+            gc.disable()
+        if want is RuntimeError:
+            with pytest.raises(RuntimeError, match="unexpected"):
+                main(argv)
+        else:
+            assert main(argv) == want
+        assert gc.isenabled() is enabled_before
+
+
+def test_library_pipeline_makes_no_reference_cycles(tmp_path, collector_state):
+    """Pausing the collector is safe only while the data path creates no
+    cyclic garbage; a back-pointer added later would leak under the pause."""
+    src, tgt = tmp_path / "v.src", tmp_path / "v.tgt"
+    corpus_io.write_parallel(verse_corpus(200, seed=3), src, tgt)
+    mono = tmp_path / "mono.txt"
+    mono.write_text(MONO_SRC + "\n" + "the state of war\n", encoding="utf-8")
+    conllu = tmp_path / "in.conllu"
+    conllu.write_text(
+        "# sent_id = 1\n"
+        "1-2\tthe-war\t_\t_\t_\t_\t_\t_\t_\t_\n"
+        "1\tthe\tthe\tDET\tDT\t_\t2\tdet\t_\t_\n"
+        "2\twar\twar\tNOUN\tNN\t_\t0\troot\t_\tSpaceAfter=No\n"
+        "2.1\tis\t_\t_\t_\t_\t_\t_\t_\t_\n\n",
+        encoding="utf-8")
+    two_col = two_col_file(tmp_path, LABELED_SRC, LABELED_TAGS)
+    teacher = two_col_file(tmp_path, LABELED_WANT, DISTILLED_TAGS, "teacher.tsv")
+    lex_path = lexicon_file(tmp_path, MONO_LEX_PAIRS + LABELED_LEX_PAIRS)
+
+    gc.collect()
+    gc.disable()
+    cfg = AlignerConfig(iterations=3)
+    corpus = corpus_io.read_parallel(src, tgt)
+    forward = viterbi_align(corpus, train_model1(corpus, cfg))
+    backward = viterbi_align(swap_corpus(corpus), train_model1(swap_corpus(corpus), cfg))
+    combined = symmetrize(forward, backward, cfg.symmetrization)
+    induced = induce_lexicon(corpus, combined, cfg)
+    write_alignments(combined, tmp_path / "alignments.txt")
+    save_lexicon(induced, tmp_path / "induced.tsv")
+    base, _ = load_lexicon(lex_path)
+    single, _ = load_lexicon(lex_path, LoadMode.SINGLE_TOKEN_ONLY)
+    save_lexicon(merge(base, induced), tmp_path / "merged.tsv")
+
+    gold = corpus_io.read_mono(mono)
+    pseudo, _ = synth.synth_mono(gold, base, SynthesisConfig(seed=4))
+    corpus_io.write_mono(pseudo, tmp_path / "pseudo.txt")
+    upsampled = mix.upsample_to_match(gold, 5, seed=4)
+    corpus_io.write_mono(mix.concat_shuffle([pseudo, upsampled], seed=4), tmp_path / "mix.txt")
+
+    for path, fmt, teacher_path in ((conllu, Format.CONLLU, None),
+                                    (two_col, Format.TWO_COL, teacher)):
+        labeled = corpus_io.read_labeled(path, Schema.POS, fmt)
+        pseudo_labeled, _ = synth.synth_labeled(labeled, single, SynthesisConfig(seed=5))
+        predictions = (corpus_io.read_labeled(teacher_path, Schema.POS, fmt)
+                       if teacher_path else pseudo_labeled)
+        distilled, changed = apply_teacher_labels(pseudo_labeled, predictions)
+        corpus_io.write_labeled(distilled, tmp_path / f"out.{fmt.value}", fmt)
+        lexicon_pos_distribution(base, labeled)
+
+    assert induced.entry_count() > 0 and changed == 2
+    assert gc.collect() == 0
 
 
 def test_commit_leaves_another_runs_temp_file_alone(tmp_path):

@@ -11,7 +11,6 @@ from lexsynth.corpus_io import (
     read_mono,
     read_parallel,
     sniff_format,
-    tokenize_basic,
     write_labeled,
     write_mono,
 )
@@ -103,22 +102,6 @@ class TestParallel:
         src = write(tmp_path, "\ufeffa\n", "s.txt")
         tgt = write(tmp_path, "\ufeffx\n", "t.txt")
         assert read_parallel(src, tgt) == [(["a"], ["x"])]
-
-
-class TestTokenizeBasic:
-    @pytest.mark.parametrize("text,want", [
-        ("harmful.", ["harmful", "."]),
-        ("ta’", ["ta’"]),
-        ("", []),
-        ("(hello)!", ["(", "hello", ")", "!"]),
-        ("don't stop", ["don't", "stop"]),
-        ("end-of-line.", ["end-of-line", "."]),
-        ("...", [".", ".", "."]),
-        ("«quoted»", ["«", "quoted", "»"]),
-        ("a  b\tc", ["a", "b", "c"]),
-    ])
-    def test_cases(self, text, want):
-        assert tokenize_basic(text) == want
 
 
 TWO_COL = "I\tPRON\nsuspect\tVERB\n\nwar\tNOUN\n"

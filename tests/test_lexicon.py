@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -116,6 +117,39 @@ class TestRoundTrip:
         relex, _ = load_lexicon(path)
         assert (relex.src_lang, relex.tgt_lang) == ("en", "mlt")
         assert relex.lookup("a")[0].provenance is Provenance.INDUCED
+
+
+class TestAdd:
+    def test_duplicate_returns_false_and_keeps_first_seen_order(self):
+        lex = Lexicon()
+        assert lex.add("A", "x") and lex.add("a", "y")
+        assert not lex.add("a", " x ")
+        assert not lex.add("A", "y")
+        assert [e.target for e in lex.lookup("a")] == ["x", "y"]
+
+    def test_base_replaces_induced_in_place(self):
+        lex = Lexicon()
+        for target in ("x", "y", "z"):
+            lex.add("a", target, Provenance.INDUCED)
+        assert not lex.add("a", "y", Provenance.BASE)
+        assert [(e.target, e.provenance) for e in lex.lookup("a")] == [
+            ("x", Provenance.INDUCED), ("y", Provenance.BASE), ("z", Provenance.INDUCED)]
+        # an induced duplicate never downgrades a base entry
+        assert not lex.add("a", "y", Provenance.INDUCED)
+        assert lex.lookup("a")[1].provenance is Provenance.BASE
+
+    def test_many_candidates_for_one_source_is_linear(self):
+        # PanLex-style sources carry hundreds of candidates; each insert must
+        # not rescan the source's candidate list.
+        targets = [f"t{i}" for i in range(20_000)]
+        lex = Lexicon()
+        started = time.perf_counter()
+        for target in targets:
+            assert lex.add("src", target)
+        assert not lex.add("src", targets[-1])
+        elapsed = time.perf_counter() - started
+        assert [e.target for e in lex.lookup("src")] == targets
+        assert elapsed < 2.0
 
 
 class TestMerge:
