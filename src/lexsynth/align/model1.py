@@ -6,26 +6,36 @@ words align to nothing.
 
 Training and Viterbi alignment share one slot layout (``_slot_layout``). A
 slot is one (sentence, target token, source position), position 0 being
-NULL; the slots of one target token form its group, NULL first. Each slot
-holds the index of its (source type, target type) pair among the sorted
-distinct pair keys. One ``argsort`` of the slot keys finds them all: a
-first-of-run mask over the sorted keys picks the distinct keys, and its
-cumulative sum, scattered back through the sort order, gives each slot's
-index. That is ``np.unique(keys, return_inverse=True)`` without its extra
-slot-sized copies, which would set the peak memory of ``lex induce``.
+NULL; the slots of one target token form its group, NULL first, and
+``group_ptr`` gives each group's slot range. Each slot holds the int32 index
+of its (source type, target type) pair among the sorted distinct pair keys
+(``k_flat``). One in-place sort finds them all: each slot's pair key + 1 is
+packed above the slot's own index into one int64, so sorting the packed keys
+orders the slots by key, the low bits give the order, and a first-of-run
+mask and its cumulative sum give each slot's index. The packed key must fit
+in 63 bits: ``ValidationError`` is raised when the slot count, rounded up to
+a power of two, times the key space (source types x target types, plus one
+for unknown words) exceeds 2**63, or when there are more than 2**31 slots
+(the int32 limit). No per-slot group index is stored; code that needs one
+makes it from ``group_ptr`` with ``np.repeat``.
 
 EM runs on that layout. The E-step (``_em_numpy.estep_chunk``, in numpy)
 spreads each group's posterior over its slots' pairs. It runs once per
 fixed-size sentence chunk, which bounds its slot-sized temporaries, and the
 chunk partials are summed in ascending chunk order.
 
-Viterbi builds the same layout for the corpus it aligns and reads each
-distinct pair's probability from the table with one batched
-``searchsorted``. A segmented argmax over all groups at once replaces any
-per-sentence loop: NULL's slot is masked, ``np.maximum.reduceat`` gives
-each group's best probability, the first slot holding it is the best source
-token (ties go to the lowest index), and the token links iff that
-probability is at least NULL's.
+Each direction's layout is built once. ``train_model1`` keeps the token ids
+it trained on and ``k_flat`` in the table. ``viterbi_align`` always encodes
+the corpus it aligns; when those ids equal the stored ones, the layout would
+be the same and its pairs are the table's own, in order, so each slot's
+probability is read straight from the table. Any other corpus, including
+the training corpus changed in place, gets its own layout, and each
+distinct pair's probability is found with one batched ``searchsorted``.
+Either way one segmented argmax over all groups replaces any per-sentence
+loop: NULL's slot is masked, ``np.maximum.reduceat`` gives each group's best
+probability, the first slot holding it is the best source token (ties go
+to the lowest index), and the token links iff that probability is at least
+NULL's.
 """
 
 from __future__ import annotations
@@ -33,6 +43,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,6 +100,14 @@ class SentenceAlignment:
                 )
 
 
+class _TrainedLayout(NamedTuple):
+    """The corpus a table was trained on and its slot layout's pair index
+    per slot (see ``_slot_layout``)."""
+
+    ids: tuple  # src_lens, src_flat, tgt_lens, tgt_flat (see _token_ids)
+    k_flat: np.ndarray
+
+
 @dataclass(eq=False)
 class TranslationTable:
     """Sparse t(target word | source word) with a NULL source row."""
@@ -105,6 +124,8 @@ class TranslationTable:
     _col: np.ndarray = field(repr=False)       # target id per pair, sorted per row
     _t: np.ndarray = field(repr=False)         # probability per pair
     _keys: np.ndarray = field(repr=False)      # src_id * n_tgt + tgt_id, sorted
+    # set by train_model1; None for a table built any other way
+    _trained_on: _TrainedLayout | None = field(default=None, repr=False)
 
     @property
     def source_vocab_size(self) -> int:
@@ -208,7 +229,15 @@ def _token_ids(sentences, word_id) -> tuple[np.ndarray, np.ndarray]:
     return lens, flat
 
 
-def _slot_layout(src_lens, src_flat, tgt_lens, tgt_flat, n_tgt):
+def _group_ptr(src_lens, tgt_lens) -> np.ndarray:
+    """Slot offsets of the groups: group g's slots are ``ptr[g]:ptr[g+1]``."""
+    widths = np.repeat(src_lens + 1, tgt_lens)  # slots per group
+    ptr = np.zeros(len(widths) + 1, dtype=np.int64)
+    np.cumsum(widths, out=ptr[1:])
+    return ptr
+
+
+def _slot_layout(src_lens, src_flat, tgt_lens, tgt_flat, n_src, n_tgt):
     """The slots of a corpus and the type pair behind each slot.
 
     A slot is one (sentence, target token, source position) with position 0
@@ -217,16 +246,24 @@ def _slot_layout(src_lens, src_flat, tgt_lens, tgt_flat, n_tgt):
     A slot's pair key is ``src_id * n_tgt + tgt_id``, or -1 when either id
     is -1 (a word the table does not know).
 
-    Returns ``group_ptr`` (slots of group g are ``group_ptr[g]:group_ptr[g+1]``),
-    ``g_flat`` (group of each slot), the sorted distinct ``pair_keys`` and
-    ``k_flat`` (index into ``pair_keys`` of each slot's key).
+    Returns ``group_ptr`` (see ``_group_ptr``), the sorted distinct
+    ``pair_keys`` and ``k_flat`` (int32 index into ``pair_keys`` of each
+    slot's key). Raises ``ValidationError`` when the slots and the key space
+    are too many to pack into one int64 sort key.
     """
     n_sents = len(src_lens)
-    widths = np.repeat(src_lens + 1, tgt_lens)  # slots per group
-    n_groups = len(widths)
-    group_ptr = np.zeros(n_groups + 1, dtype=np.int64)
-    np.cumsum(widths, out=group_ptr[1:])
+    group_ptr = _group_ptr(src_lens, tgt_lens)
+    widths = np.diff(group_ptr)
     n_slots = int(group_ptr[-1])
+    # A slot's sort key packs its pair key + 1 above ``bits`` low bits that
+    # hold the slot's index, so it must fit in 63 bits; the index of a
+    # slot's pair must fit in int32.
+    bits = max(n_slots - 1, 0).bit_length()
+    key_space = n_src * n_tgt + 1  # every pair key and -1
+    if key_space << bits > 1 << 63 or n_slots > 1 << 31:
+        raise ValidationError(
+            f"corpus too large to align: {n_slots} slots (at most 2**31) and a "
+            f"key space of {key_space} pair keys do not fit one 63-bit sort key")
 
     # A "block" is a sentence's NULL id followed by its source ids; the
     # source id of a slot is read from its sentence's block at the slot's
@@ -243,29 +280,29 @@ def _slot_layout(src_lens, src_flat, tgt_lens, tgt_flat, n_tgt):
     del sentence_of_group, shift, blocks
     slot_f = np.repeat(tgt_flat, widths)
 
-    keys = slot_e * n_tgt
-    keys += slot_f
-    keys[(slot_e < 0) | (slot_f < 0)] = -1
+    packed = slot_e * n_tgt
+    packed += slot_f
+    packed[(slot_e < 0) | (slot_f < 0)] = -1
     del slot_e, slot_f
-    # np.unique(keys, return_inverse=True) done by hand: it would copy keys
-    # and hold about six slot-sized arrays at once; here each temporary is
-    # dropped as soon as it is dead, so at most three are alive together.
-    order = np.argsort(keys)
-    keys = keys[order]
+    packed += 1
+    packed <<= bits
+    packed |= np.arange(n_slots, dtype=np.int64)
+    # Packed keys are distinct, so an in-place sort orders the slots by key
+    # and then by index; each temporary is dropped as soon as it is dead.
+    packed.sort()
+    order = packed & ((1 << bits) - 1)  # slot at each sorted position
+    packed >>= bits
     first = np.empty(n_slots, dtype=bool)  # first slot of each run of equal keys
     first[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    pair_keys = keys[first]
-    del keys
-    ranks = np.cumsum(first, dtype=np.int64)
+    np.not_equal(packed[1:], packed[:-1], out=first[1:])
+    pair_keys = packed[first] - 1
+    del packed
+    ranks = np.cumsum(first, dtype=np.int32)
     del first
     ranks -= 1
-    k_flat = np.empty(n_slots, dtype=np.int64)
+    k_flat = np.empty(n_slots, dtype=np.int32)
     k_flat[order] = ranks
-    del order, ranks
-    # made last, so it is not alive during the sort
-    g_flat = np.repeat(np.arange(n_groups, dtype=np.int64), widths)
-    return group_ptr, g_flat, pair_keys, k_flat
+    return group_ptr, pair_keys, k_flat
 
 
 def train_model1(
@@ -280,6 +317,8 @@ def train_model1(
     source type. Each iteration distributes every target token's posterior
     over the sentence's source tokens plus NULL, renormalizes per source
     type, and records the corpus log-likelihood under the pre-update table.
+    The table keeps the corpus's token ids and slot layout, which
+    ``viterbi_align`` reuses on the same corpus.
     """
     _validate_corpus(corpus)
     src_fold = _source_fold(cfg.case_fold)
@@ -294,8 +333,8 @@ def train_model1(
     n_src = len(src_index)
     n_tgt = len(tgt_index)
 
-    group_ptr, g_flat, pair_keys, k_flat = _slot_layout(
-        src_lens, src_flat, tgt_lens, tgt_flat, n_tgt)
+    group_ptr, pair_keys, k_flat = _slot_layout(
+        src_lens, src_flat, tgt_lens, tgt_flat, n_src, n_tgt)
     n_pairs = len(pair_keys)
     pair_e = pair_keys // n_tgt
     row_ptr = np.searchsorted(pair_e, np.arange(n_src + 1, dtype=np.int64))
@@ -318,7 +357,7 @@ def train_model1(
         ll = 0.0
         for g_lo, g_hi in chunks:
             part, part_ll = _DEFAULT_KERNEL.estep_chunk(
-                t, k_flat, g_flat, group_ptr, g_lo, g_hi, n_pairs)
+                t, k_flat, group_ptr, g_lo, g_hi, n_pairs)
             counts += part
             ll += part_ll
         log_likelihoods.append(ll)
@@ -338,6 +377,7 @@ def train_model1(
         _col=col,
         _t=t,
         _keys=pair_keys,
+        _trained_on=_TrainedLayout((src_lens, src_flat, tgt_lens, tgt_flat), k_flat),
     )
 
 
@@ -349,19 +389,26 @@ def viterbi_align(corpus: ParallelCorpus, table: TranslationTable) -> list[Sente
     does not know have probability 0.
     """
     src_fold = _source_fold(table.case_fold)
-    src_lens, src_flat = _token_ids(
-        [s for s, _ in corpus], lambda w: table._src_index.get(src_fold(w), -1))
-    tgt_lens, tgt_flat = _token_ids([t for _, t in corpus], table.tgt_id)
-    group_ptr, g_flat, pair_keys, k_flat = _slot_layout(
-        src_lens, src_flat, tgt_lens, tgt_flat, table.target_vocab_size)
-
-    pos = np.searchsorted(table._keys, pair_keys)
-    hit = pos < len(table._keys)
-    hit[hit] = table._keys[pos[hit]] == pair_keys[hit]
-    pair_t = np.zeros(len(pair_keys))
-    pair_t[hit] = table._t[pos[hit]]
-    slot_t = pair_t[k_flat]
-    del k_flat
+    ids = (*_token_ids([s for s, _ in corpus],
+                       lambda w: table._src_index.get(src_fold(w), -1)),
+           *_token_ids([t for _, t in corpus], table.tgt_id))
+    src_lens, src_flat, tgt_lens, tgt_flat = ids
+    trained = table._trained_on
+    if trained is not None and all(map(np.array_equal, ids, trained.ids)):
+        # The corpus EM ran on: its layout's pairs are the table's, in order.
+        group_ptr = _group_ptr(src_lens, tgt_lens)
+        slot_t = table._t[trained.k_flat]
+    else:
+        group_ptr, pair_keys, k_flat = _slot_layout(
+            src_lens, src_flat, tgt_lens, tgt_flat,
+            table.source_vocab_size, table.target_vocab_size)
+        pos = np.searchsorted(table._keys, pair_keys)
+        hit = pos < len(table._keys)
+        hit[hit] = table._keys[pos[hit]] == pair_keys[hit]
+        pair_t = np.zeros(len(pair_keys))
+        pair_t[hit] = table._t[pos[hit]]
+        slot_t = pair_t[k_flat]
+        del k_flat
 
     # Segmented argmax over each group's source slots: the NULL slot is
     # masked below every probability, a group links iff its maximum beats or
@@ -371,7 +418,8 @@ def viterbi_align(corpus: ParallelCorpus, table: TranslationTable) -> list[Sente
     slot_t[starts] = -1.0
     best_t = np.maximum.reduceat(slot_t, starts)
     linked = np.flatnonzero(best_t >= p_null)
-    at_best = np.flatnonzero(slot_t == best_t[g_flat])  # each group has one
+    # each group has one slot at its maximum
+    at_best = np.flatnonzero(slot_t == np.repeat(best_t, np.diff(group_ptr)))
     link_start = starts[linked]
     link_i = (at_best[np.searchsorted(at_best, link_start)] - link_start - 1).tolist()
 

@@ -58,9 +58,11 @@ class _Parser(argparse.ArgumentParser):
 class _Outputs:
     """Deferred, all-or-nothing file writes: nothing lands on failure.
 
-    Each output is written to a temp file named after this process and then
-    renamed over the target, so concurrent runs with the same output path
-    never share a temp file.
+    Each output is written to a temp file named after this process, so
+    concurrent runs with the same output path never share a temp file. Once
+    all are written, each existing target is moved aside and the temp files
+    are renamed over the targets; if any rename fails, every target is
+    restored and the temp files are removed.
     """
 
     def __init__(self):
@@ -70,18 +72,37 @@ class _Outputs:
         self._writes.append((Path(path), write_fn))
 
     def commit(self):
-        tmps = []
+        pid = os.getpid()
+        staged = []  # (temp file, target)
         try:
             for path, write_fn in self._writes:
-                tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp~")
-                write_fn(tmp)
-                tmps.append((tmp, path))
+                staged.append((path.with_name(f"{path.name}.{pid}.tmp~"), path))
+                write_fn(staged[-1][0])
         except BaseException:
-            for tmp, _ in tmps:
+            for tmp, _ in staged:
                 tmp.unlink(missing_ok=True)
             raise
-        for tmp, path in tmps:
-            os.replace(tmp, path)
+        moved = []  # (old target moved aside, target)
+        replaced = []
+        try:
+            for _, path in staged:
+                if path.is_file():
+                    old = path.with_name(f"{path.name}.{pid}.old~")
+                    os.replace(path, old)
+                    moved.append((old, path))
+            for tmp, path in staged:
+                os.replace(tmp, path)
+                replaced.append(path)
+        except BaseException:
+            for path in replaced:
+                path.unlink(missing_ok=True)
+            for old, path in moved:
+                os.replace(old, path)
+            for tmp, _ in staged:
+                tmp.unlink(missing_ok=True)
+            raise
+        for old, _ in moved:
+            old.unlink()
 
 
 def _write_json(doc: dict, path) -> None:
@@ -128,10 +149,18 @@ def _cmd_lex_induce(args) -> int:
         keep_punct=args.keep_punct,
     )
     corpus = corpus_io.read_parallel(args.src, args.tgt)
-    forward_table = train_model1(corpus, cfg)
-    backward_table = train_model1(swap_corpus(corpus), cfg)
-    forward = viterbi_align(corpus, forward_table)
-    backward = viterbi_align(swap_corpus(corpus), backward_table)
+    # Each direction aligns the corpus it was trained on, so Viterbi reuses
+    # the table's slot layout; the table is dropped once it has aligned.
+    alignments = []
+    final_lls = []
+    for name, direction in (("forward", corpus), ("backward", swap_corpus(corpus))):
+        table = train_model1(direction, cfg)
+        alignments.append(viterbi_align(direction, table))
+        logger.info("%s EM log-likelihoods: %s", name,
+                    " ".join(f"{ll:.4f}" for ll in table.log_likelihoods))
+        final_lls.append(table.final_log_likelihood)
+        del table
+    forward, backward = alignments
     combined = symmetrize(forward, backward, cfg.symmetrization)
     lex = induce_lexicon(corpus, combined, cfg)
     out = _Outputs()
@@ -142,8 +171,7 @@ def _cmd_lex_induce(args) -> int:
     logger.info(
         "induced %d entries (final log-likelihoods: fwd %.4f, bwd %.4f)",
         lex.entry_count(),
-        forward_table.final_log_likelihood,
-        backward_table.final_log_likelihood,
+        *final_lls,
     )
     return 0
 

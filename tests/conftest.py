@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from lexsynth.corpus_io import LabeledCorpus, LabeledSentence, Schema
 from lexsynth.lexicon import Lexicon, Provenance
@@ -27,6 +28,18 @@ LABELED_SRC = "I suspect the streets of Baghdad will look as if a war is looming
 LABELED_WANT = "jien iddubita il streets ta’ Bagdad xewqa hares kif jekk a gwerra is looming dan ġimgħa ."
 LABELED_TAGS = "PRON VERB DET NOUN ADP PROPN AUX VERB SCONJ SCONJ DET NOUN AUX VERB DET NOUN PUNCT"
 DISTILLED_TAGS = "PRON VERB DET NOUN ADP PROPN NOUN NOUN SCONJ SCONJ DET NOUN AUX VERB DET NOUN PUNCT"
+
+
+# Text as the file formats carry it, for round-trip properties. Every reader
+# decodes UTF-8, so a lone surrogate cannot be written; tokens are split at
+# whitespace (``str.split``), so a token holds none; lines end at \n, \r
+# or \r\n and fields are split at tabs, so a field holds none of those.
+TOKENS = st.text(st.characters(codec="utf-8").filter(lambda c: not c.isspace()),
+                 min_size=1, max_size=6)
+FIELDS = st.text(st.characters(codec="utf-8", exclude_characters="\t\r\n"), max_size=6)
+# Every reader drops a byte-order mark at the start of a file, so a file
+# whose text starts with one cannot round-trip.
+BOM = "\ufeff"
 
 
 def build_lexicon(pairs, provenance=Provenance.BASE, **langs):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -17,7 +18,8 @@ from lexsynth.align import (
     viterbi_align,
     write_alignments,
 )
-from lexsynth.align.model1 import TranslationTable
+from lexsynth.align import model1
+from lexsynth.align.model1 import TranslationTable, _slot_layout
 from lexsynth.errors import ValidationError
 from lexsynth.lexicon import Provenance
 
@@ -248,6 +250,75 @@ class TestViterbi:
                 for _ in range(rng.randint(1, 6))
             ]
             self.assert_matches_oracle(corpus, table, rows)
+
+
+class TestLayoutReuse:
+    """Viterbi on the corpus a table was trained on reuses the table's slot
+    layout; any other corpus, even one of the same shape, gets its own."""
+
+    @pytest.fixture
+    def layout_builds(self, monkeypatch):
+        calls = []
+        build = model1._slot_layout
+
+        def spy(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(model1, "_slot_layout", spy)
+        return calls
+
+    def assert_reuse_matches_rebuild_and_oracle(self, corpus, table, layout_builds):
+        layout_builds.clear()
+        reused = [a.links for a in viterbi_align(corpus, table)]
+        assert not layout_builds
+        rebuilt = viterbi_align(corpus, dataclasses.replace(table, _trained_on=None))
+        assert len(layout_builds) == 1
+        assert reused == [a.links for a in rebuilt] == brute_force_viterbi(corpus, table.probs())
+
+    def test_training_corpus_reuses_the_layout(self, layout_builds):
+        rng = random.Random(31)
+        for _ in range(30):
+            corpus = random_corpus(rng, max_pairs=8, max_vocab=6, max_len=6)
+            table = train_model1(corpus, AlignerConfig(iterations=rng.randint(1, 5)))
+            self.assert_reuse_matches_rebuild_and_oracle(corpus, table, layout_builds)
+
+    def test_reuse_across_chunks_in_both_directions(self, layout_builds):
+        corpus = verse_corpus(1500, seed=4)  # two 1024-sentence E-step chunks
+        for direction in (corpus, swap_corpus(corpus)):
+            table = train_model1(direction, AlignerConfig(iterations=2))
+            self.assert_reuse_matches_rebuild_and_oracle(direction, table, layout_builds)
+
+    def test_changed_token_rebuilds_the_layout(self, layout_builds):
+        rng = random.Random(8)
+        for _ in range(30):
+            corpus = random_corpus(rng, max_pairs=6, max_vocab=5, max_len=5)
+            table = train_model1(corpus, AlignerConfig(iterations=3))
+            # the same list, changed in place: one target token becomes
+            # another word of the vocabulary, so every length stays the same
+            tgt = rng.choice(corpus)[1]
+            others = sorted({w for _, t in corpus for w in t} - {tgt[0]})
+            if not others:
+                continue
+            tgt[0] = rng.choice(others)
+            layout_builds.clear()
+            alignments = viterbi_align(corpus, table)
+            assert len(layout_builds) == 1
+            assert [a.links for a in alignments] == brute_force_viterbi(corpus, table.probs())
+            # a table trained on the changed corpus reuses its own layout
+            fresh = train_model1(corpus, AlignerConfig(iterations=3))
+            self.assert_reuse_matches_rebuild_and_oracle(corpus, fresh, layout_builds)
+
+
+def test_slot_layout_rejects_keys_past_63_bits():
+    one = np.array([1], dtype=np.int64)
+    ids = (one, one, one, np.array([0], dtype=np.int64))  # 2 slots: NULL and source id 1
+    # 2 slots take 1 index bit, so 2 * n_tgt + 1 keys may use the other 62
+    group_ptr, pair_keys, k_flat = _slot_layout(*ids, 2, 2**61 - 1)
+    assert pair_keys.tolist() == [0, 2**61 - 1]
+    assert k_flat.tolist() == [0, 1] and k_flat.dtype == np.int32
+    with pytest.raises(ValidationError, match="2 slots"):
+        _slot_layout(*ids, 2, 2**61)
 
 
 class TestSymmetrize:

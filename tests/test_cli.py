@@ -1,5 +1,9 @@
 import gc
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -503,6 +507,60 @@ def test_commit_leaves_another_runs_temp_file_alone(tmp_path):
     assert out.read_text(encoding="utf-8") == "x\n"
     assert other.read_text(encoding="utf-8") == "another run\n"
     assert set(tmp_path.iterdir()) == before | {out}
+
+
+@pytest.mark.parametrize("old_targets", [True, False])
+def test_commit_restores_every_target_when_a_rename_fails(tmp_path, monkeypatch, old_targets):
+    lex = lexicon_file(tmp_path, [("a", "x")])
+    corpus = tmp_path / "mono.txt"
+    corpus.write_text("a\n", encoding="utf-8")
+    out = tmp_path / "out.txt"
+    report = tmp_path / "report.json"
+    if old_targets:
+        out.write_bytes(b"old out\n")
+        report.write_bytes(b"old report\n")
+    before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if Path(dst) == report and Path(src).name.endswith(".tmp~"):
+            raise OSError("rename failed")  # the second output's rename
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    assert main(["synth", "mono", "--corpus", str(corpus), "--lexicon", str(lex),
+                 "--out", str(out), "--report", str(report), "--seed", "1"]) == 2
+    assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+def test_commit_removes_a_temp_file_whose_write_failed(tmp_path):
+    def write_then_fail(path):
+        path.write_text("partial", encoding="utf-8")
+        raise OSError("disk full")
+
+    outputs = cli._Outputs()
+    outputs.add(tmp_path / "out.txt", write_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        outputs.commit()
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_induce_logs_each_directions_log_likelihood_curve(tmp_path):
+    corpus = [(["the", "house"], ["das", "haus"]), (["the", "book"], ["das", "buch"])]
+    corpus_io.write_parallel(corpus, tmp_path / "src.txt", tmp_path / "tgt.txt")
+    src_dir = str(Path(cli.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "lexsynth.cli", "lex", "induce", "--src", str(tmp_path / "src.txt"),
+         "--tgt", str(tmp_path / "tgt.txt"), "--out", str(tmp_path / "out.tsv"),
+         "--iterations", "3"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stderr.splitlines()
+    for name, direction in (("forward", corpus), ("backward", swap_corpus(corpus))):
+        lls = train_model1(direction, AlignerConfig(iterations=3)).log_likelihoods
+        assert f"{name} EM log-likelihoods: " + " ".join(f"{ll:.4f}" for ll in lls) in lines
 
 
 def test_end_to_end_few_text_pipeline(tmp_path, capsys):

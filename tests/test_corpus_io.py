@@ -1,18 +1,23 @@
 import logging
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from conftest import BOM, FIELDS, TOKENS
 from lexsynth.corpus_io import (
     Format,
     LabeledCorpus,
     LabeledSentence,
     Schema,
+    TwoColRows,
     read_labeled,
     read_mono,
     read_parallel,
     sniff_format,
     write_labeled,
     write_mono,
+    write_parallel,
 )
 from lexsynth.errors import DataFormatError, ValidationError
 
@@ -273,3 +278,95 @@ class TestValidation:
 def test_sniff_format(tmp_path):
     assert sniff_format(write(tmp_path, TWO_COL, "a.tsv")) is Format.TWO_COL
     assert sniff_format(write(tmp_path, CONLLU, "b.conllu")) is Format.CONLLU
+
+
+# Round trips over arbitrary Unicode tokens (see conftest.TOKENS and FIELDS
+# for what the formats cannot carry). A file whose text starts with a
+# byte-order mark is skipped: every reader drops a leading one.
+
+# blank lines are skipped on reading, so a sentence has at least one token
+SENTENCES = st.lists(TOKENS, min_size=1, max_size=4)
+
+
+def written_text(path):
+    text = path.read_text(encoding="utf-8")
+    assume(not text.startswith(BOM))
+    return text
+
+
+@given(st.lists(SENTENCES, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_mono_round_trip(tmp_path_factory, corpus):
+    path = tmp_path_factory.mktemp("mono") / "m.txt"
+    write_mono(corpus, path)
+    written_text(path)
+    assert read_mono(path) == corpus
+
+
+@given(st.lists(st.tuples(SENTENCES, SENTENCES), max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_parallel_round_trip(tmp_path_factory, corpus):
+    tmp = tmp_path_factory.mktemp("parallel")
+    write_parallel(corpus, tmp / "s.txt", tmp / "t.txt")
+    written_text(tmp / "s.txt")
+    written_text(tmp / "t.txt")
+    assert read_parallel(tmp / "s.txt", tmp / "t.txt") == corpus
+
+
+@st.composite
+def two_col_corpora(draw):
+    """Token and label columns plus extra columns, kept verbatim; a two-col
+    label may not be empty, and every row of a file has as many columns."""
+    schema = draw(st.sampled_from([Schema.NER, Schema.POS]))
+    extra = draw(st.integers(0, 2))
+    row = st.tuples(TOKENS, FIELDS.filter(bool), st.lists(FIELDS, min_size=extra, max_size=extra))
+    sentences = []
+    for rows in draw(st.lists(st.lists(row, min_size=1, max_size=4), max_size=4)):
+        sentences.append(LabeledSentence(
+            [token for token, _, _ in rows], schema, labels=[label for _, label, _ in rows],
+            passthrough=TwoColRows(0, 1, [[token, label, *more] for token, label, more in rows])))
+    return LabeledCorpus(schema, sentences)
+
+
+@st.composite
+def conllu_corpora(draw):
+    """POS or DEP sentences written without passthrough rows; any field but
+    the token may be empty."""
+    schema = draw(st.sampled_from([Schema.POS, Schema.DEP]))
+    sentences = []
+    for tokens in draw(st.lists(SENTENCES, max_size=4)):
+        n = len(tokens)
+        fields = draw(st.lists(FIELDS, min_size=n, max_size=n))
+        if schema is Schema.POS:
+            sentences.append(LabeledSentence(tokens, schema, labels=fields))
+        else:
+            heads = draw(st.lists(st.integers(0, n), min_size=n, max_size=n))
+            sentences.append(LabeledSentence(tokens, schema, heads=heads, deprels=fields))
+    return LabeledCorpus(schema, sentences)
+
+
+def assert_labeled_round_trip(path, corpus, fmt):
+    write_labeled(corpus, path, fmt)
+    text = written_text(path)
+    again = read_labeled(path, corpus.schema, fmt)
+    assert [(s.tokens, s.labels, s.heads, s.deprels) for s in again.sentences] == [
+        (s.tokens, s.labels, s.heads, s.deprels) for s in corpus.sentences]
+    if fmt is Format.TWO_COL:
+        assert [s.passthrough.rows for s in again.sentences] == [
+            s.passthrough.rows for s in corpus.sentences]
+    write_labeled(again, path, fmt)  # now from the rows kept on reading
+    assert path.read_text(encoding="utf-8") == text
+
+
+@given(two_col_corpora())
+@settings(max_examples=100, deadline=None)
+def test_two_col_round_trip(tmp_path_factory, corpus):
+    assert_labeled_round_trip(tmp_path_factory.mktemp("two-col") / "x.tsv", corpus,
+                              Format.TWO_COL)
+
+
+@given(conllu_corpora())
+@settings(max_examples=100, deadline=None)
+def test_conllu_round_trip(tmp_path_factory, corpus):
+    assert_labeled_round_trip(tmp_path_factory.mktemp("conllu") / "x.conllu", corpus,
+                              Format.CONLLU)

@@ -2,12 +2,13 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import build_lexicon
+from conftest import BOM, TOKENS, build_lexicon
 from lexsynth.errors import DataFormatError, ValidationError
 from lexsynth.lexicon import (
+    UND,
     Lexicon,
     LoadMode,
     Provenance,
@@ -235,3 +236,29 @@ def test_single_token_mode_is_filtered_subset(tmp_path_factory, pairs):
     want = {(e.source, e.target) for e in full.iter_entries() if not e.is_multi_token}
     got = {(e.source, e.target) for e in single.iter_entries()}
     assert got == want
+
+
+@st.composite
+def lexicons(draw):
+    """Lexicons the TSV format can carry: a line starting with ``#`` is a
+    comment, so no source may; provenance is one comment for the whole
+    file, so all entries share it."""
+    provenance = draw(st.sampled_from(Provenance))
+    lex = Lexicon(*draw(st.lists(st.just(UND) | TOKENS, min_size=2, max_size=2)))
+    pairs = st.tuples(TOKENS.filter(lambda w: not w.casefold().startswith("#")),
+                      st.lists(TOKENS, min_size=1, max_size=3))
+    for source, target in draw(st.lists(pairs, max_size=6)):
+        lex.add(source, " ".join(target), provenance)
+    return lex
+
+
+@given(lexicons())
+@settings(max_examples=100, deadline=None)
+def test_save_load_round_trip(tmp_path_factory, lex):
+    path = tmp_path_factory.mktemp("lex") / "lex.tsv"
+    save_lexicon(lex, path)
+    assume(not path.read_text(encoding="utf-8").startswith(BOM))
+    again, dropped = load_lexicon(path)
+    assert dropped == 0
+    assert (again.src_lang, again.tgt_lang) == (lex.src_lang, lex.tgt_lang)
+    assert list(again.iter_entries()) == list(lex.iter_entries())
