@@ -116,10 +116,16 @@ def _resolve_format(path, value: str) -> Format:
     return Format(value)
 
 
-def _cmd_lex_stats(args) -> int:
-    lex, dropped = load_lexicon(args.lexicon)
+def _load_logged(path):
+    """``load_lexicon`` with its dropped-line count logged to stderr."""
+    lex, dropped = load_lexicon(path)
     if dropped:
-        logger.warning("skipped %d unusable line(s) in %s", dropped, args.lexicon)
+        logger.warning("skipped %d unusable line(s) in %s", dropped, path)
+    return lex
+
+
+def _cmd_lex_stats(args) -> int:
+    lex = _load_logged(args.lexicon)
     stats = lexicon_stats(lex)
     if args.json:
         print(json.dumps(stats.to_dict(), ensure_ascii=False, indent=2))
@@ -130,8 +136,8 @@ def _cmd_lex_stats(args) -> int:
 
 
 def _cmd_lex_merge(args) -> int:
-    base, _ = load_lexicon(args.base)
-    extra, _ = load_lexicon(args.extra)
+    base = _load_logged(args.base)
+    extra = _load_logged(args.extra)
     merged = merge(base, extra)
     out = _Outputs()
     out.add(args.out, lambda p: save_lexicon(merged, p))
@@ -177,9 +183,7 @@ def _cmd_lex_induce(args) -> int:
 
 
 def _cmd_synth_mono(args) -> int:
-    lex, dropped = load_lexicon(args.lexicon)
-    if dropped:
-        logger.warning("skipped %d unusable line(s) in %s", dropped, args.lexicon)
+    lex = _load_logged(args.lexicon)
     corpus = corpus_io.read_mono(args.corpus, limit=args.limit)
     pseudo, report = synth.synth_mono(corpus, lex, SynthesisConfig(seed=args.seed))
     out = _Outputs()
@@ -254,7 +258,7 @@ def _cmd_mix_joint_labeled(args) -> int:
 
 
 def _cmd_report_pos_dist(args) -> int:
-    lex, _ = load_lexicon(args.lexicon)
+    lex = _load_logged(args.lexicon)
     fmt = _resolve_format(args.reference, args.format)
     reference = corpus_io.read_labeled(args.reference, Schema.POS, fmt)
     dist = lexicon_pos_distribution(lex, reference)

@@ -9,10 +9,12 @@ rather than a scan of the source's candidates (PanLex-style sources carry
 thousands of them). Add pairs through ``Lexicon.add``; ``entries`` is for
 reading.
 
-File format: UTF-8 TSV, one ``source<TAB>target`` pair per line, ``#``
-comments and blank lines ignored. A few optional metadata comments
-(``# src_lang: xx``, ``# tgt_lang: xx``, ``# provenance: induced``) survive a
-save/load round trip.
+File format: UTF-8 TSV, one ``source<TAB>target`` pair per line; blank lines
+are ignored. A line starting with ``#`` is a comment only when it has no
+tab, so an entry whose source starts with ``#`` (``#1<TAB>x``) is read back
+as an entry; comments, including the metadata ones, never hold a tab. A few
+optional metadata comments (``# src_lang: xx``, ``# tgt_lang: xx``,
+``# provenance: induced``) survive a save/load round trip.
 """
 
 from __future__ import annotations
@@ -156,7 +158,7 @@ def load_lexicon(
             line = raw.rstrip("\n").rstrip("\r")
             if not line.strip():
                 continue
-            if line.startswith("#"):
+            if line.startswith("#") and "\t" not in line:
                 body = line[1:].strip()
                 if ":" in body:
                     k, _, v = body.partition(":")

@@ -4,34 +4,61 @@ Every token is looked up case-insensitively; covered tokens are replaced by
 one of their candidate translations, the rest pass through unchanged. The
 candidate draw for a position depends only on (seed, sentence index, token
 index), so output is byte-identical across runs.
+
+``synth_mono``, ``synth_labeled``, ``translate_tokens`` and ``coverage`` are
+thin calls into one core (``_synthesize``):
+
+- **Interning.** Each distinct token string is seen once (``_Types``): it
+  gets a type id, its case-folded key is looked up in the lexicon, and the
+  key's candidates are appended to one flat candidate table, so the type
+  maps to a (first candidate, candidate count) range. A count of 0 means
+  the key is not covered. Under ``CasePolicy.RESTORE_CASE`` a title-cased
+  type maps to its own range of capitalized candidates, so the case rule
+  runs once per candidate, not per position. Coverage counts come from the
+  type ids and the key table, not from per-token set inserts.
+- **Blocks.** The corpus is processed in fixed blocks of ``_BLOCK_SENTS``
+  sentences, which bounds the per-position arrays. A block's type ids and
+  candidate counts are gathered with numpy, every covered position draws
+  at once, one object-array gather puts the chosen candidates in place,
+  and the block is sliced back into sentences.
+- **The draw.** A SplitMix64 finalizer (Steele, Lea & Flood, OOPSLA 2014)
+  over the seed, sentence index and token index, computed in numpy
+  ``uint64``, whose wraparound arithmetic equals the same formula over
+  Python ints masked to 64 bits. Seed and sentence index are reduced modulo
+  2**64 in Python first, so negative and huge values draw the same way, and
+  every constant and shift count is an ``np.uint64`` so the arithmetic
+  stays ``uint64`` under both value-based casting and NEP 50. Blocking
+  cannot change a draw: its only inputs are those three numbers.
+- **Multi-token targets** (``synth_mono`` and ``translate_tokens`` only)
+  are split once per candidate, and after the gather the chosen target's
+  tokens are spliced into its sentence in place of the source token, so
+  unreplaced tokens stay the input's own strings.
 """
 
 from __future__ import annotations
 
 import enum
+from array import array
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from .corpus_io import LabeledCorpus, LabeledSentence, TokenizedCorpus, TokenizedSentence
 from .errors import ValidationError
 from .lexicon import Lexicon
 
+_BLOCK_SENTS = 1024
+
 _MASK = (1 << 64) - 1
-
-
-def _draw(seed: int, sentence_index: int, token_index: int, n: int) -> int:
-    """Uniform index in [0, n) from a splitmix64-style finalizer over the keys."""
-    x = (
-        seed * 0x9E3779B97F4A7C15
-        + sentence_index * 0xBF58476D1CE4E5B9
-        + token_index * 0x94D049BB133111EB
-        + 0x2545F4914F6CDD1D
-    ) & _MASK
-    x ^= x >> 30
-    x = (x * 0xBF58476D1CE4E5B9) & _MASK
-    x ^= x >> 27
-    x = (x * 0x94D049BB133111EB) & _MASK
-    x ^= x >> 31
-    return x % n
+# SplitMix64 multipliers and increment. _K1 and _K4 only meet the seed,
+# which is reduced in Python; _K2 and _K3 (also the finalizer's two
+# multipliers) meet numpy arrays, so they are np.uint64.
+_K1 = 0x9E3779B97F4A7C15
+_K2 = np.uint64(0xBF58476D1CE4E5B9)
+_K3 = np.uint64(0x94D049BB133111EB)
+_K4 = 0x2545F4914F6CDD1D
+_S30, _S27, _S31 = np.uint64(30), np.uint64(27), np.uint64(31)
 
 
 class CasePolicy(enum.Enum):
@@ -71,52 +98,139 @@ class CoverageReport:
         }
 
 
-class _Tally:
-    """Lookup counters shared by synthesis and coverage."""
+class _Types(dict):
+    """Token string -> type id; the first lookup of a string fills its row.
 
-    def __init__(self):
-        self.total = 0
-        self.replaced = 0
-        self.types: set[str] = set()
-        self.covered: set[str] = set()
-        self.sentences = 0
+    ``first`` and ``count`` give each type's candidate range in ``cands``;
+    ``spliced[c]`` is 1 when candidate ``c`` must be replaced by the token
+    list ``parts[c]`` (a multi-token target, when ``split`` is set).
+    """
 
-    def see(self, key: str, hit: bool):
-        self.total += 1
-        self.types.add(key)
-        if hit:
-            self.replaced += 1
-            self.covered.add(key)
+    def __init__(self, lex: Lexicon, restore_case: bool, split: bool):
+        super().__init__()
+        self.entries = lex.entries
+        self.restore_case = restore_case
+        self.split = split
+        self.first = array("q")
+        self.count = array("q")
+        self.ranges: dict[tuple[str, bool], tuple[int, int]] = {}
+        self.cands: list[str] = []
+        self.spliced = array("b")
+        self.parts: dict[int, list[str]] = {}
+        self._cand_array = np.empty(0, dtype=object)
 
-    def report(self) -> CoverageReport:
-        return CoverageReport(
-            total_tokens=self.total,
-            replaced_tokens=self.replaced,
-            replacement_rate=self.replaced / self.total if self.total else 0.0,
-            distinct_types=len(self.types),
-            covered_types=len(self.covered),
-            sentences=self.sentences,
-        )
+    def __missing__(self, token: str) -> int:
+        key = token.casefold()
+        cap = self.restore_case and token[:1].isupper() and token[1:].islower()
+        span = self.ranges.get((key, cap))
+        if span is None:
+            span = self.ranges[(key, cap)] = self._add_candidates(key, cap)
+        self[token] = i = len(self.first)
+        self.first.append(span[0])
+        self.count.append(span[1])
+        return i
+
+    def _add_candidates(self, key: str, cap: bool) -> tuple[int, int]:
+        start = len(self.cands)
+        found = self.entries.get(key) or ()
+        for entry in found:
+            target = entry.target
+            if cap:
+                target = target[:1].upper() + target[1:]
+            parts = target.split() if self.split else [target]
+            spliced = parts != [target]
+            if spliced:
+                self.parts[len(self.cands)] = parts
+            self.spliced.append(spliced)
+            self.cands.append(target)
+        return start, len(found)
+
+    def cand_array(self) -> np.ndarray:
+        """The candidate table as an object array, remade when it grew."""
+        if len(self._cand_array) != len(self.cands):
+            self._cand_array = np.array(self.cands, dtype=object)
+        return self._cand_array
+
+    def key_counts(self) -> tuple[int, int]:
+        """(distinct case-folded keys, covered keys) over every type seen."""
+        covered = {key: n > 0 for (key, _), (_, n) in self.ranges.items()}
+        return len(covered), sum(covered.values())
 
 
-def _apply_case(target: str, source: str, policy: CasePolicy) -> str:
-    if policy is CasePolicy.RESTORE_CASE and source[:1].isupper() and source[1:].islower():
-        return target[:1].upper() + target[1:]
-    return target
+def _finalize(x: np.ndarray) -> np.ndarray:
+    """SplitMix64's finalizer, in place on a ``uint64`` array."""
+    x ^= x >> _S30
+    x *= _K2
+    x ^= x >> _S27
+    x *= _K3
+    x ^= x >> _S31
+    return x
 
 
-def _pick(token, lex, cfg, sentence_index, token_index, tally):
-    key = token.casefold()
-    cands = lex.entries.get(key)
-    if tally is not None:
-        tally.see(key, cands is not None)
-    if cands is None:
-        return None
-    if len(cands) == 1:
-        chosen = cands[0]
-    else:
-        chosen = cands[_draw(cfg.seed, sentence_index, token_index, len(cands))]
-    return _apply_case(chosen.target, token, cfg.case_policy)
+def _synthesize(
+    sentences,
+    lex: Lexicon,
+    cfg: SynthesisConfig | None,
+    first_index: int = 0,
+    split: bool = True,
+) -> tuple[list[list[str]] | None, CoverageReport]:
+    """The lookup/draw core: (output sentences, coverage) for ``sentences``.
+
+    Sentence ``k`` draws with sentence index ``first_index + k``. With
+    ``cfg=None`` only the coverage is computed and the output is None.
+    ``split`` splices multi-token targets in as several tokens; without it
+    every target is one output token, verbatim.
+    """
+    restore = cfg is not None and cfg.case_policy is CasePolicy.RESTORE_CASE
+    types = _Types(lex, restore, split)
+    out: list[list[str]] | None = None if cfg is None else []
+    total = replaced = 0
+    if cfg is not None:
+        seed_term = np.uint64((cfg.seed * _K1 + _K4) & _MASK)
+        base = np.uint64(first_index & _MASK)
+    for lo in range(0, len(sentences), _BLOCK_SENTS):
+        block = sentences[lo:lo + _BLOCK_SENTS]
+        flat = list(chain.from_iterable(block))
+        ids = np.fromiter(map(types.__getitem__, flat), dtype=np.intp, count=len(flat))
+        count = np.frombuffer(types.count, dtype=np.int64)[ids]
+        hit = np.flatnonzero(count)
+        total += len(flat)
+        replaced += len(hit)
+        if out is None:
+            continue
+
+        lens = np.fromiter(map(len, block), dtype=np.intp, count=len(block))
+        ends = np.cumsum(lens)
+        starts = ends - lens
+        sent = np.repeat(np.arange(len(block)), lens)[hit]
+        tok = hit - starts[sent]
+        with np.errstate(over="ignore"):
+            sentence_index = base + (sent + lo).astype(np.uint64)
+            x = seed_term + sentence_index * _K2 + tok.astype(np.uint64) * _K3
+            draw = _finalize(x) % count[hit].astype(np.uint64)
+        cidx = np.frombuffer(types.first, dtype=np.int64)[ids[hit]] + draw.astype(np.int64)
+
+        tokens = np.array(flat, dtype=object)
+        tokens[hit] = types.cand_array()[cidx]
+        tokens = tokens.tolist()
+        rows = [tokens[a:b] for a, b in zip(starts.tolist(), ends.tolist())]
+        if types.parts:
+            # Last position first, so the positions before it stay put.
+            m = np.flatnonzero(np.frombuffer(types.spliced, dtype=np.int8)[cidx])[::-1]
+            for s, t, c in zip(sent[m].tolist(), tok[m].tolist(), cidx[m].tolist()):
+                rows[s][t:t + 1] = types.parts[c]
+        out.extend(rows)
+
+    distinct, covered = types.key_counts()
+    report = CoverageReport(
+        total_tokens=total,
+        replaced_tokens=replaced,
+        replacement_rate=replaced / total if total else 0.0,
+        distinct_types=distinct,
+        covered_types=covered,
+        sentences=len(sentences),
+    )
+    return out, report
 
 
 def translate_tokens(
@@ -124,17 +238,10 @@ def translate_tokens(
     lex: Lexicon,
     cfg: SynthesisConfig,
     sentence_index: int,
-    _tally: _Tally | None = None,
 ) -> TokenizedSentence:
     """Replace covered tokens; multi-token targets expand in place."""
-    out: TokenizedSentence = []
-    for token_index, token in enumerate(sentence):
-        target = _pick(token, lex, cfg, sentence_index, token_index, _tally)
-        if target is None:
-            out.append(token)
-        else:
-            out.extend(target.split())
-    return out
+    out, _ = _synthesize([sentence], lex, cfg, first_index=sentence_index)
+    return out[0]
 
 
 def synth_mono(
@@ -147,12 +254,7 @@ def synth_mono(
     The coverage report counts input positions, so replacement_rate is
     unaffected by multi-token expansion.
     """
-    tally = _Tally()
-    out: TokenizedCorpus = []
-    for i, sentence in enumerate(corpus):
-        out.append(translate_tokens(sentence, lex, cfg, i, _tally=tally))
-        tally.sentences += 1
-    return out, tally.report()
+    return _synthesize(corpus, lex, cfg)
 
 
 def synth_labeled(
@@ -172,25 +274,19 @@ def synth_labeled(
                 "labeled synthesis requires a single-token-only lexicon"
             )
 
-    tally = _Tally()
-    out: list[LabeledSentence] = []
-    for i, sent in enumerate(corpus.sentences):
-        tokens = []
-        for token_index, token in enumerate(sent.tokens):
-            target = _pick(token, lex, cfg, i, token_index, tally)
-            tokens.append(token if target is None else target)
-        out.append(
-            LabeledSentence(
-                tokens,
-                sent.schema,
-                labels=sent.labels,
-                heads=sent.heads,
-                deprels=sent.deprels,
-                passthrough=sent.passthrough,
-            )
+    tokens, report = _synthesize([s.tokens for s in corpus.sentences], lex, cfg, split=False)
+    out = [
+        LabeledSentence(
+            toks,
+            sent.schema,
+            labels=sent.labels,
+            heads=sent.heads,
+            deprels=sent.deprels,
+            passthrough=sent.passthrough,
         )
-        tally.sentences += 1
-    return LabeledCorpus(corpus.schema, out), tally.report()
+        for toks, sent in zip(tokens, corpus.sentences)
+    ]
+    return LabeledCorpus(corpus.schema, out), report
 
 
 def coverage(corpus: TokenizedCorpus | LabeledCorpus, lex: Lexicon) -> CoverageReport:
@@ -199,9 +295,4 @@ def coverage(corpus: TokenizedCorpus | LabeledCorpus, lex: Lexicon) -> CoverageR
         sentences = [s.tokens for s in corpus.sentences]
     else:
         sentences = corpus
-    tally = _Tally()
-    for sentence in sentences:
-        for token in sentence:
-            tally.see(token.casefold(), token.casefold() in lex.entries)
-        tally.sentences += 1
-    return tally.report()
+    return _synthesize(sentences, lex, None)[1]

@@ -1,5 +1,6 @@
 import gc
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -70,6 +71,21 @@ class TestLexCommands:
         assert main(["lex", "merge", "--base", str(base), "--extra", str(extra),
                      "--out", str(out)]) == 0
         assert out.read_text(encoding="utf-8") == "a\tx\na\ty\nb\tz\n"
+
+    def test_merge_logs_dropped_lines(self, tmp_path, capsys, caplog):
+        # a source with whitespace can never match a token: dropped, counted
+        base = lexicon_file(tmp_path, [("a", "x"), ("new york", "nju jork")], "base.tsv")
+        extra = lexicon_file(tmp_path, [("a", "y"), ("b c", "d"), ("b", "z"),
+                                        ("e f", "g")], "extra.tsv")
+        out = tmp_path / "merged.tsv"
+        with caplog.at_level(logging.WARNING, logger="lexsynth"):
+            assert main(["lex", "merge", "--base", str(base), "--extra", str(extra),
+                         "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == "a\tx\na\ty\nb\tz\n"
+        assert capsys.readouterr().out == ""
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert warnings == [f"skipped 1 unusable line(s) in {base}",
+                            f"skipped 2 unusable line(s) in {extra}"]
 
     def test_induce_writes_lexicon_and_alignments(self, tmp_path):
         src = tmp_path / "src.txt"
@@ -310,6 +326,22 @@ class TestReportCommand:
                      "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["fractions"] == {"NOUN": 0.5, "VERB": 0.5}
+
+    def test_pos_dist_logs_dropped_lines(self, tmp_path, capsys, caplog):
+        clean = lexicon_file(tmp_path, [("house", "dar"), ("run", "ġiri")], "clean.tsv")
+        lex = lexicon_file(tmp_path, [("house", "dar"), ("new york", "nju jork"),
+                                      ("run", "ġiri")])
+        ref = two_col_file(tmp_path, "house house run", "NOUN NOUN VERB", "ref.tsv")
+        assert main(["report", "pos-dist", "--lexicon", str(clean), "--reference", str(ref),
+                     "--json"]) == 0
+        want = capsys.readouterr().out
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="lexsynth"):
+            assert main(["report", "pos-dist", "--lexicon", str(lex), "--reference", str(ref),
+                         "--json"]) == 0
+        assert capsys.readouterr().out == want
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert warnings == [f"skipped 1 unusable line(s) in {lex}"]
 
 
 class TestUsage:

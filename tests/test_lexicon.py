@@ -110,6 +110,21 @@ class TestRoundTrip:
         save_lexicon(relex, out2)
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_hash_source_is_an_entry_not_a_comment(self, tmp_path):
+        lex = build_lexicon([("#1", "x"), ("a", "y")])
+        path = tmp_path / "hash.tsv"
+        save_lexicon(lex, path)
+        assert path.read_text(encoding="utf-8") == "#1\tx\na\ty\n"
+        relex, dropped = load_lexicon(path)
+        assert dropped == 0
+        assert [(e.source, e.target) for e in relex.iter_entries()] == [("#1", "x"), ("a", "y")]
+
+    def test_tabless_hash_line_is_still_a_comment(self, tmp_path):
+        path = write(tmp_path, "# src_lang: en\n#1 x\n#\na\ty\n")
+        lex, dropped = load_lexicon(path)
+        assert (lex.src_lang, dropped) == ("en", 0)
+        assert [(e.source, e.target) for e in lex.iter_entries()] == [("a", "y")]
+
     def test_langs_and_provenance_survive(self, tmp_path):
         lex = build_lexicon([("a", "x")], provenance=Provenance.INDUCED,
                             src_lang="en", tgt_lang="mlt")
@@ -240,13 +255,11 @@ def test_single_token_mode_is_filtered_subset(tmp_path_factory, pairs):
 
 @st.composite
 def lexicons(draw):
-    """Lexicons the TSV format can carry: a line starting with ``#`` is a
-    comment, so no source may; provenance is one comment for the whole
-    file, so all entries share it."""
+    """Lexicons the TSV format can carry: provenance is one comment for the
+    whole file, so all entries share it."""
     provenance = draw(st.sampled_from(Provenance))
     lex = Lexicon(*draw(st.lists(st.just(UND) | TOKENS, min_size=2, max_size=2)))
-    pairs = st.tuples(TOKENS.filter(lambda w: not w.casefold().startswith("#")),
-                      st.lists(TOKENS, min_size=1, max_size=3))
+    pairs = st.tuples(TOKENS, st.lists(TOKENS, min_size=1, max_size=3))
     for source, target in draw(st.lists(pairs, max_size=6)):
         lex.add(source, " ".join(target), provenance)
     return lex

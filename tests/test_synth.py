@@ -15,17 +15,58 @@ from conftest import (
     pos_corpus,
     random_labeled_sentence,
 )
+from draw_oracle import draw
+from lexsynth import synth
 from lexsynth.corpus_io import LabeledCorpus, LabeledSentence, Schema
 from lexsynth.errors import ValidationError
 from lexsynth.lexicon import Lexicon
 from lexsynth.synth import (
     CasePolicy,
+    CoverageReport,
     SynthesisConfig,
     coverage,
     synth_labeled,
     synth_mono,
     translate_tokens,
 )
+
+
+def reference_synth(sentences, lex, cfg, first_index=0, split=True):
+    """Sentence by sentence, token by token: (output, coverage report).
+
+    Sentence ``k`` draws with index ``first_index + k``; ``split`` expands a
+    multi-token target into its tokens, otherwise a target is one token.
+    """
+    out = []
+    total = replaced = 0
+    keys, covered = set(), set()
+    for i, sentence in enumerate(sentences):
+        row = []
+        for j, token in enumerate(sentence):
+            key = token.casefold()
+            cands = lex.entries.get(key)
+            total += 1
+            keys.add(key)
+            if not cands:
+                row.append(token)
+                continue
+            replaced += 1
+            covered.add(key)
+            target = cands[draw(cfg.seed, first_index + i, j, len(cands))].target
+            if (cfg.case_policy is CasePolicy.RESTORE_CASE
+                    and token[:1].isupper() and token[1:].islower()):
+                target = target[:1].upper() + target[1:]
+            row.extend(target.split() if split else [target])
+        out.append(row)
+    report = CoverageReport(
+        total_tokens=total,
+        replaced_tokens=replaced,
+        replacement_rate=replaced / total if total else 0.0,
+        distinct_types=len(keys),
+        covered_types=len(covered),
+        sentences=len(sentences),
+    )
+    return out, report
 
 
 class TestTranslateTokens:
@@ -195,3 +236,89 @@ def test_replacement_rate_is_exact(corpus, seed):
     assert report.replaced_tokens == hits
     if positions:
         assert report.replacement_rate == hits / positions
+
+
+# Sources with 1 to 7 candidates, some multi-token, looked up in several
+# casings, next to words the lexicon does not cover.
+DRAW_LEX = build_lexicon(
+    [("x", t) for t in ("a", "b", "c", "d", "e", "f", "g")]
+    + [("bb", "p q"), ("bb", "r"), ("bb", "s t u")]
+    + [("one", "uno"), ("ħaġa", "thing"), ("two", "du e"), ("two", "zwei")]
+)
+DRAW_WORDS = ["x", "X", "Bb", "bb", "BB", "One", "ONE", "Ħaġa", "two", "Two", "zzz", "Nope", "."]
+
+
+@given(
+    seed=st.integers(-2**70, 2**70),
+    sentence_index=st.one_of(st.integers(-2**70, -1), st.integers(0, 2**64 - 1),
+                             st.integers(2**64, 2**70)),
+    sentence=st.lists(st.sampled_from(DRAW_WORDS), max_size=400),
+    policy=st.sampled_from(CasePolicy),
+)
+@settings(max_examples=300, deadline=None)
+def test_picks_match_reference_draw(seed, sentence_index, sentence, policy):
+    cfg = SynthesisConfig(seed=seed, case_policy=policy)
+    want, _ = reference_synth([sentence], DRAW_LEX, cfg, first_index=sentence_index)
+    assert translate_tokens(sentence, DRAW_LEX, cfg, sentence_index) == want[0]
+
+
+@pytest.mark.parametrize("seed, sentence_index", [
+    (0, 0), (-1, -1), (2**64 - 1, 2**64 - 1), (2**64, 2**64), (-2**70, 2**70), (2**70, -2**70),
+])
+def test_long_sentence_matches_reference_draw(seed, sentence_index):
+    rng = random.Random(seed % 1000)
+    sentence = [rng.choice(DRAW_WORDS) for _ in range(30_000)]
+    cfg = SynthesisConfig(seed=seed)
+    want, _ = reference_synth([sentence], DRAW_LEX, cfg, first_index=sentence_index)
+    assert translate_tokens(sentence, DRAW_LEX, cfg, sentence_index) == want[0]
+
+
+def _edge_corpus(n_sents, block, rng):
+    """Random sentences (some empty) with multi-token picks and mixed case at
+    the first and last position of the sentences either side of each block
+    edge."""
+    corpus = [[rng.choice(DRAW_WORDS) for _ in range(rng.randint(0, 7))] for _ in range(n_sents)]
+    for edge in range(block, n_sents, block):
+        corpus[edge - 1] = ["Bb", *corpus[edge - 1], "BB"]
+        corpus[edge] = ["bb", *corpus[edge], "Two"]
+    return corpus
+
+
+@pytest.mark.parametrize("block", [None, 1, 3])
+@pytest.mark.parametrize("policy", list(CasePolicy))
+def test_blocked_core_matches_reference_loop(monkeypatch, block, policy):
+    if block is not None:
+        monkeypatch.setattr(synth, "_BLOCK_SENTS", block)
+    block = synth._BLOCK_SENTS
+    n_sents = 2 * block + block // 2 + 2
+    corpus = _edge_corpus(n_sents, block, random.Random(block))
+    cfg = SynthesisConfig(seed=2**63 + 5, case_policy=policy)
+
+    want, want_report = reference_synth(corpus, DRAW_LEX, cfg)
+    got, report = synth_mono(corpus, DRAW_LEX, cfg)
+    assert got == want
+    assert report == want_report
+    assert coverage(corpus, DRAW_LEX) == want_report
+
+    single = build_lexicon((e.source, e.target) for e in DRAW_LEX.iter_entries()
+                           if not e.is_multi_token)
+    labeled = LabeledCorpus(Schema.POS, [
+        LabeledSentence(s or ["."], Schema.POS, labels=["X"] * max(len(s), 1)) for s in corpus])
+    tokens = [s.tokens for s in labeled.sentences]
+    want, want_report = reference_synth(tokens, single, cfg, split=False)
+    got, report = synth_labeled(labeled, single, cfg)
+    assert [s.tokens for s in got.sentences] == want
+    assert [s.labels for s in got.sentences] == [s.labels for s in labeled.sentences]
+    assert report == want_report
+    assert coverage(labeled, single) == want_report
+
+
+def test_output_shares_token_strings():
+    # unreplaced tokens are the input's strings; spliced tokens are split
+    # once per candidate, not once per position
+    lex = build_lexicon([("a", "pp qq")])
+    corpus = [["keep", "a"], ["a", "me"]]
+    out, _ = synth_mono(corpus, lex, SynthesisConfig(seed=1))
+    assert out == [["keep", "pp", "qq"], ["pp", "qq", "me"]]
+    assert out[0][0] is corpus[0][0] and out[1][2] is corpus[1][1]
+    assert out[0][1] is out[1][0] and out[0][2] is out[1][1]
