@@ -2,7 +2,10 @@
 
 The translation table t(target | source) is kept sparse over the pairs that
 co-occur in some sentence; a distinguished NULL source (id 0) lets target
-words align to nothing.
+words align to nothing. Its one pair index is the sorted pair keys
+``src_id * n_tgt + tgt_id`` (``_keys``), aligned with the probabilities
+(``_t``): a pair is found with ``searchsorted``, and a key's source and
+target ids are ``key // n_tgt`` and ``key % n_tgt``.
 
 Training and Viterbi alignment share one slot layout (``_slot_layout``). A
 slot is one (sentence, target token, source position), position 0 being
@@ -49,7 +52,6 @@ import numpy as np
 
 from ..corpus_io import ParallelCorpus
 from ..errors import ValidationError
-from ..lexicon import UND
 from . import _em_numpy
 
 NULL_WORD = "<NULL>"
@@ -112,16 +114,12 @@ class _TrainedLayout(NamedTuple):
 class TranslationTable:
     """Sparse t(target word | source word) with a NULL source row."""
 
-    src_lang: str
-    tgt_lang: str
     case_fold: bool
     src_words: list[str]           # index 0 is NULL_WORD
     tgt_words: list[str]
     log_likelihoods: list[float]
     _src_index: dict[str, int] = field(repr=False)
     _tgt_index: dict[str, int] = field(repr=False)
-    _row_ptr: np.ndarray = field(repr=False)   # len(src_words)+1
-    _col: np.ndarray = field(repr=False)       # target id per pair, sorted per row
     _t: np.ndarray = field(repr=False)         # probability per pair
     _keys: np.ndarray = field(repr=False)      # src_id * n_tgt + tgt_id, sorted
     # set by train_model1; None for a table built any other way
@@ -154,36 +152,25 @@ class TranslationTable:
         f = self.tgt_id(tgt_word)
         if e < 0 or f < 0:
             return 0.0
-        lo, hi = self._row_ptr[e], self._row_ptr[e + 1]
-        k = lo + np.searchsorted(self._col[lo:hi], f)
-        if k < hi and self._col[k] == f:
+        key = e * self.target_vocab_size + f
+        k = np.searchsorted(self._keys, key)
+        if k < len(self._keys) and self._keys[k] == key:
             return float(self._t[k])
         return 0.0
 
-    def candidates(self, src_word: str) -> list[tuple[str, float]]:
-        """(target word, probability) pairs for a source word, best first."""
-        e = self.src_id(src_word)
-        if e < 0:
-            return []
-        lo, hi = self._row_ptr[e], self._row_ptr[e + 1]
-        pairs = [(self.tgt_words[int(f)], float(p)) for f, p in zip(self._col[lo:hi], self._t[lo:hi])]
-        pairs.sort(key=lambda x: (-x[1], x[0]))
-        return pairs
-
     def probs(self) -> dict[str, dict[str, float]]:
         """Nested source → target → probability dict (small tables only)."""
-        out: dict[str, dict[str, float]] = {}
-        for e, word in enumerate(self.src_words):
-            lo, hi = self._row_ptr[e], self._row_ptr[e + 1]
-            out[word] = {
-                self.tgt_words[int(f)]: float(p)
-                for f, p in zip(self._col[lo:hi], self._t[lo:hi])
-            }
+        out: dict[str, dict[str, float]] = {word: {} for word in self.src_words}
+        src_ids, tgt_ids = np.divmod(self._keys, self.target_vocab_size)
+        for e, f, p in zip(src_ids.tolist(), tgt_ids.tolist(), self._t.tolist()):
+            out[self.src_words[e]][self.tgt_words[f]] = p
         return out
 
     def row_sums(self) -> dict[str, float]:
         """Per-source-word probability mass (should be 1 for every row)."""
-        sums = np.add.reduceat(self._t, self._row_ptr[:-1])
+        rows = np.arange(self.source_vocab_size)
+        row_start = np.searchsorted(self._keys // self.target_vocab_size, rows)
+        sums = np.add.reduceat(self._t, row_start)
         return {w: float(s) for w, s in zip(self.src_words, sums)}
 
 
@@ -305,12 +292,7 @@ def _slot_layout(src_lens, src_flat, tgt_lens, tgt_flat, n_src, n_tgt):
     return group_ptr, pair_keys, k_flat
 
 
-def train_model1(
-    corpus: ParallelCorpus,
-    cfg: AlignerConfig = AlignerConfig(),
-    src_lang: str = UND,
-    tgt_lang: str = UND,
-) -> TranslationTable:
+def train_model1(corpus: ParallelCorpus, cfg: AlignerConfig = AlignerConfig()) -> TranslationTable:
     """Train t(target | source) by EM.
 
     t is initialized uniform over the target types co-occurring with each
@@ -336,10 +318,8 @@ def train_model1(
     group_ptr, pair_keys, k_flat = _slot_layout(
         src_lens, src_flat, tgt_lens, tgt_flat, n_src, n_tgt)
     n_pairs = len(pair_keys)
-    pair_e = pair_keys // n_tgt
-    row_ptr = np.searchsorted(pair_e, np.arange(n_src + 1, dtype=np.int64))
+    row_ptr = np.searchsorted(pair_keys // n_tgt, np.arange(n_src + 1, dtype=np.int64))
     row_len = np.diff(row_ptr)
-    col = pair_keys % n_tgt
 
     t = 1.0 / np.repeat(row_len, row_len).astype(np.float64)
 
@@ -365,16 +345,12 @@ def train_model1(
         t = counts / np.repeat(row_sums, row_len)
 
     return TranslationTable(
-        src_lang=src_lang,
-        tgt_lang=tgt_lang,
         case_fold=cfg.case_fold,
         src_words=list(src_index),
         tgt_words=list(tgt_index),
         log_likelihoods=log_likelihoods,
         _src_index=src_index,
         _tgt_index=tgt_index,
-        _row_ptr=row_ptr,
-        _col=col,
         _t=t,
         _keys=pair_keys,
         _trained_on=_TrainedLayout((src_lens, src_flat, tgt_lens, tgt_flat), k_flat),

@@ -59,10 +59,12 @@ class _Outputs:
     """Deferred, all-or-nothing file writes: nothing lands on failure.
 
     Each output is written to a temp file named after this process, so
-    concurrent runs with the same output path never share a temp file. Once
-    all are written, each existing target is moved aside and the temp files
-    are renamed over the targets; if any rename fails, every target is
-    restored and the temp files are removed.
+    concurrent runs with the same output path never share a temp file. Each
+    temp file is synced to disk after its write. Once all are written, each
+    existing target is moved aside, the temp files are renamed over the
+    targets and each target directory is synced once, so the renames are
+    durable too; if any of that fails, every target is restored and the temp
+    files are removed.
     """
 
     def __init__(self):
@@ -78,6 +80,7 @@ class _Outputs:
             for path, write_fn in self._writes:
                 staged.append((path.with_name(f"{path.name}.{pid}.tmp~"), path))
                 write_fn(staged[-1][0])
+                _fsync(staged[-1][0])
         except BaseException:
             for tmp, _ in staged:
                 tmp.unlink(missing_ok=True)
@@ -93,6 +96,8 @@ class _Outputs:
             for tmp, path in staged:
                 os.replace(tmp, path)
                 replaced.append(path)
+            for directory in dict.fromkeys(path.parent for _, path in staged):
+                _fsync(directory)
         except BaseException:
             for path in replaced:
                 path.unlink(missing_ok=True)
@@ -103,6 +108,15 @@ class _Outputs:
             raise
         for old, _ in moved:
             old.unlink()
+
+
+def _fsync(path) -> None:
+    """Flush a file's or a directory's contents to disk."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def _write_json(doc: dict, path) -> None:
@@ -367,7 +381,7 @@ def build_parser() -> _Parser:
     )
     p = mx.add_parser("upsample", help="repeat gold data to an exact sentence count")
     p.add_argument("--gold", required=True)
-    p.add_argument("--target-size", type=int, required=True)
+    p.add_argument("--target-size", type=_int_at_least(1), required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, required=True)
     p.set_defaults(func=_cmd_mix_upsample)

@@ -371,14 +371,20 @@ def _write_conllu(corpus: LabeledCorpus, path) -> None:
 
 
 def sniff_format(path) -> Format:
-    """Guess TwoColumn vs CoNLL-U from the first non-blank lines."""
+    """Guess TwoColumn vs CoNLL-U from the first non-blank lines.
+
+    A ``#`` line without a tab is a CoNLL-U comment. Any other line,
+    including a ``#`` line with a tab (a TwoColumn ``#<TAB>SYM`` row), means
+    CoNLL-U when it has 10 tab-separated columns. When none of the first 20
+    such lines decides, the file is TwoColumn.
+    """
     with Path(path).open("r", encoding="utf-8-sig") as fh:
         seen = 0
         for line in fh:
             line = line.rstrip("\n")
             if not line.strip():
                 continue
-            if line.startswith("#"):
+            if line.startswith("#") and "\t" not in line:
                 return Format.CONLLU
             if len(line.split("\t")) == _CONLLU_NCOLS:
                 return Format.CONLLU

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from .corpus_io import LabeledCorpus, LabeledSentence, Schema
 from .errors import ValidationError
 
-TeacherPredictions = LabeledCorpus
-
 
 def _position_label(sent: LabeledSentence, i: int) -> str:
     if sent.schema is Schema.DEP:
@@ -34,7 +32,7 @@ def _check_shape(pseudo: LabeledCorpus, other: LabeledCorpus, what: str) -> None
 
 
 def apply_teacher_labels(
-    pseudo: LabeledCorpus, teacher: TeacherPredictions
+    pseudo: LabeledCorpus, teacher: LabeledCorpus
 ) -> tuple[LabeledCorpus, int]:
     """Keep pseudo tokens and passthrough, take teacher labels.
 

@@ -57,10 +57,6 @@ class LexiconEntry:
             raise ValidationError(f"lexicon target must be non-empty: {self.target!r}")
 
     @property
-    def target_tokens(self) -> list[str]:
-        return self.target.split()
-
-    @property
     def is_multi_token(self) -> bool:
         return len(self.target.split()) > 1
 
@@ -101,12 +97,6 @@ class Lexicon:
         """Candidates for a token, matched case-insensitively; [] if absent."""
         return self.entries.get(token.casefold(), [])
 
-    def __contains__(self, token: str) -> bool:
-        return token.casefold() in self.entries
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
     def entry_count(self) -> int:
         """Number of distinct (source, target) pairs."""
         return sum(len(c) for c in self.entries.values())
@@ -135,12 +125,7 @@ class LexiconStats:
 _META_KEYS = ("src_lang", "tgt_lang", "provenance")
 
 
-def load_lexicon(
-    path,
-    mode: LoadMode = LoadMode.ALLOW_MULTI_TOKEN,
-    src_lang: str | None = None,
-    tgt_lang: str | None = None,
-) -> tuple[Lexicon, int]:
+def load_lexicon(path, mode: LoadMode = LoadMode.ALLOW_MULTI_TOKEN) -> tuple[Lexicon, int]:
     """Read a two-column TSV lexicon.
 
     Returns (lexicon, dropped_count). In SINGLE_TOKEN_ONLY mode entries with a
@@ -182,8 +167,8 @@ def load_lexicon(
                 continue
             provenance = Provenance.INDUCED if meta.get("provenance") == "induced" else Provenance.BASE
             lex.add(source, target, provenance)
-    lex.src_lang = src_lang or meta.get("src_lang", UND)
-    lex.tgt_lang = tgt_lang or meta.get("tgt_lang", UND)
+    lex.src_lang = meta.get("src_lang", UND)
+    lex.tgt_lang = meta.get("tgt_lang", UND)
     return lex, dropped
 
 

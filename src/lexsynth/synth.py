@@ -5,17 +5,15 @@ one of their candidate translations, the rest pass through unchanged. The
 candidate draw for a position depends only on (seed, sentence index, token
 index), so output is byte-identical across runs.
 
-``synth_mono``, ``synth_labeled``, ``translate_tokens`` and ``coverage`` are
-thin calls into one core (``_synthesize``):
+``synth_mono``, ``synth_labeled`` and ``coverage`` are thin calls into one
+core (``_synthesize``):
 
 - **Interning.** Each distinct token string is seen once (``_Types``): it
   gets a type id, its case-folded key is looked up in the lexicon, and the
   key's candidates are appended to one flat candidate table, so the type
   maps to a (first candidate, candidate count) range. A count of 0 means
-  the key is not covered. Under ``CasePolicy.RESTORE_CASE`` a title-cased
-  type maps to its own range of capitalized candidates, so the case rule
-  runs once per candidate, not per position. Coverage counts come from the
-  type ids and the key table, not from per-token set inserts.
+  the key is not covered. Coverage counts come from the type ids and the
+  key table, not from per-token set inserts.
 - **Blocks.** The corpus is processed in fixed blocks of ``_BLOCK_SENTS``
   sentences, which bounds the per-position arrays. A block's type ids and
   candidate counts are gathered with numpy, every covered position draws
@@ -24,27 +22,29 @@ thin calls into one core (``_synthesize``):
 - **The draw.** A SplitMix64 finalizer (Steele, Lea & Flood, OOPSLA 2014)
   over the seed, sentence index and token index, computed in numpy
   ``uint64``, whose wraparound arithmetic equals the same formula over
-  Python ints masked to 64 bits. Seed and sentence index are reduced modulo
-  2**64 in Python first, so negative and huge values draw the same way, and
-  every constant and shift count is an ``np.uint64`` so the arithmetic
-  stays ``uint64`` under both value-based casting and NEP 50. Blocking
-  cannot change a draw: its only inputs are those three numbers.
-- **Multi-token targets** (``synth_mono`` and ``translate_tokens`` only)
-  are split once per candidate, and after the gather the chosen target's
-  tokens are spliced into its sentence in place of the source token, so
-  unreplaced tokens stay the input's own strings.
+  Python ints masked to 64 bits. The seed is reduced modulo 2**64 in Python
+  first, so negative and huge seeds draw the same way, and every constant
+  and shift count is an ``np.uint64`` so the arithmetic stays ``uint64``
+  under both value-based casting and NEP 50. Blocking cannot change a draw:
+  its only inputs are those three numbers.
+- **Multi-token targets** are split once per candidate, and after the
+  gather the chosen target's tokens are spliced into its sentence in place
+  of the source token, so unreplaced tokens stay the input's own strings.
+  ``synth_labeled`` rejects such targets before it calls the core, and a
+  single-token target splits to itself (``Lexicon.add`` and
+  ``load_lexicon`` normalize every target), so labeled output keeps its
+  token counts.
 """
 
 from __future__ import annotations
 
-import enum
 from array import array
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
-from .corpus_io import LabeledCorpus, LabeledSentence, TokenizedCorpus, TokenizedSentence
+from .corpus_io import LabeledCorpus, LabeledSentence, TokenizedCorpus
 from .errors import ValidationError
 from .lexicon import Lexicon
 
@@ -61,17 +61,9 @@ _K4 = 0x2545F4914F6CDD1D
 _S30, _S27, _S31 = np.uint64(30), np.uint64(27), np.uint64(31)
 
 
-class CasePolicy(enum.Enum):
-    # emit the lexicon target verbatim (reproduces the published examples)
-    LEXICON_FORM = "lexicon-form"
-    # uppercase the target's first letter when the source was title-cased
-    RESTORE_CASE = "restore-case"
-
-
 @dataclass(frozen=True)
 class SynthesisConfig:
     seed: int
-    case_policy: CasePolicy = CasePolicy.LEXICON_FORM
 
     def __post_init__(self):
         if not isinstance(self.seed, int):
@@ -103,17 +95,15 @@ class _Types(dict):
 
     ``first`` and ``count`` give each type's candidate range in ``cands``;
     ``spliced[c]`` is 1 when candidate ``c`` must be replaced by the token
-    list ``parts[c]`` (a multi-token target, when ``split`` is set).
+    list ``parts[c]`` (a multi-token target).
     """
 
-    def __init__(self, lex: Lexicon, restore_case: bool, split: bool):
+    def __init__(self, lex: Lexicon):
         super().__init__()
         self.entries = lex.entries
-        self.restore_case = restore_case
-        self.split = split
         self.first = array("q")
         self.count = array("q")
-        self.ranges: dict[tuple[str, bool], tuple[int, int]] = {}
+        self.ranges: dict[str, tuple[int, int]] = {}
         self.cands: list[str] = []
         self.spliced = array("b")
         self.parts: dict[int, list[str]] = {}
@@ -121,23 +111,20 @@ class _Types(dict):
 
     def __missing__(self, token: str) -> int:
         key = token.casefold()
-        cap = self.restore_case and token[:1].isupper() and token[1:].islower()
-        span = self.ranges.get((key, cap))
+        span = self.ranges.get(key)
         if span is None:
-            span = self.ranges[(key, cap)] = self._add_candidates(key, cap)
+            span = self.ranges[key] = self._add_candidates(key)
         self[token] = i = len(self.first)
         self.first.append(span[0])
         self.count.append(span[1])
         return i
 
-    def _add_candidates(self, key: str, cap: bool) -> tuple[int, int]:
+    def _add_candidates(self, key: str) -> tuple[int, int]:
         start = len(self.cands)
         found = self.entries.get(key) or ()
         for entry in found:
             target = entry.target
-            if cap:
-                target = target[:1].upper() + target[1:]
-            parts = target.split() if self.split else [target]
+            parts = target.split()
             spliced = parts != [target]
             if spliced:
                 self.parts[len(self.cands)] = parts
@@ -153,8 +140,7 @@ class _Types(dict):
 
     def key_counts(self) -> tuple[int, int]:
         """(distinct case-folded keys, covered keys) over every type seen."""
-        covered = {key: n > 0 for (key, _), (_, n) in self.ranges.items()}
-        return len(covered), sum(covered.values())
+        return len(self.ranges), sum(n > 0 for _, n in self.ranges.values())
 
 
 def _finalize(x: np.ndarray) -> np.ndarray:
@@ -171,23 +157,17 @@ def _synthesize(
     sentences,
     lex: Lexicon,
     cfg: SynthesisConfig | None,
-    first_index: int = 0,
-    split: bool = True,
 ) -> tuple[list[list[str]] | None, CoverageReport]:
     """The lookup/draw core: (output sentences, coverage) for ``sentences``.
 
-    Sentence ``k`` draws with sentence index ``first_index + k``. With
-    ``cfg=None`` only the coverage is computed and the output is None.
-    ``split`` splices multi-token targets in as several tokens; without it
-    every target is one output token, verbatim.
+    Sentence ``k`` draws with sentence index ``k``. With ``cfg=None`` only
+    the coverage is computed and the output is None.
     """
-    restore = cfg is not None and cfg.case_policy is CasePolicy.RESTORE_CASE
-    types = _Types(lex, restore, split)
+    types = _Types(lex)
     out: list[list[str]] | None = None if cfg is None else []
     total = replaced = 0
     if cfg is not None:
         seed_term = np.uint64((cfg.seed * _K1 + _K4) & _MASK)
-        base = np.uint64(first_index & _MASK)
     for lo in range(0, len(sentences), _BLOCK_SENTS):
         block = sentences[lo:lo + _BLOCK_SENTS]
         flat = list(chain.from_iterable(block))
@@ -205,7 +185,7 @@ def _synthesize(
         sent = np.repeat(np.arange(len(block)), lens)[hit]
         tok = hit - starts[sent]
         with np.errstate(over="ignore"):
-            sentence_index = base + (sent + lo).astype(np.uint64)
+            sentence_index = (sent + lo).astype(np.uint64)
             x = seed_term + sentence_index * _K2 + tok.astype(np.uint64) * _K3
             draw = _finalize(x) % count[hit].astype(np.uint64)
         cidx = np.frombuffer(types.first, dtype=np.int64)[ids[hit]] + draw.astype(np.int64)
@@ -231,17 +211,6 @@ def _synthesize(
         sentences=len(sentences),
     )
     return out, report
-
-
-def translate_tokens(
-    sentence: TokenizedSentence,
-    lex: Lexicon,
-    cfg: SynthesisConfig,
-    sentence_index: int,
-) -> TokenizedSentence:
-    """Replace covered tokens; multi-token targets expand in place."""
-    out, _ = _synthesize([sentence], lex, cfg, first_index=sentence_index)
-    return out[0]
 
 
 def synth_mono(
@@ -274,7 +243,7 @@ def synth_labeled(
                 "labeled synthesis requires a single-token-only lexicon"
             )
 
-    tokens, report = _synthesize([s.tokens for s in corpus.sentences], lex, cfg, split=False)
+    tokens, report = _synthesize([s.tokens for s in corpus.sentences], lex, cfg)
     out = [
         LabeledSentence(
             toks,

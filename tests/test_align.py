@@ -133,22 +133,16 @@ def make_table(rows, tgt_words):
     """Hand-built table for viterbi unit tests. rows: src word → {tgt: prob}."""
     src_words = [NULL_WORD] + [w for w in rows if w != NULL_WORD]
     tgt_index = {w: i for i, w in enumerate(tgt_words)}
-    row_ptr = [0]
-    col, probs, keys = [], [], []
+    probs, keys = [], []
     for e, word in enumerate(src_words):
-        items = sorted((tgt_index[f], p) for f, p in rows.get(word, {}).items())
-        for f, p in items:
-            col.append(f)
+        for f, p in sorted((tgt_index[f], p) for f, p in rows.get(word, {}).items()):
             probs.append(p)
             keys.append(e * len(tgt_words) + f)
-        row_ptr.append(len(col))
     return TranslationTable(
-        src_lang="und", tgt_lang="und", case_fold=True,
+        case_fold=True,
         src_words=src_words, tgt_words=list(tgt_words), log_likelihoods=[0.0],
         _src_index={w: i for i, w in enumerate(src_words)},
         _tgt_index=tgt_index,
-        _row_ptr=np.array(row_ptr, dtype=np.int64),
-        _col=np.array(col, dtype=np.int64),
         _t=np.array(probs, dtype=np.float64),
         _keys=np.array(keys, dtype=np.int64),
     )

@@ -283,6 +283,15 @@ class TestDistillCommand:
         first = out.read_text(encoding="utf-8").splitlines()[0].split("\t")
         assert (first[6], first[7]) == ("0", "dislocated")
 
+    def test_auto_format_reads_two_col_starting_with_hash_token(self, tmp_path):
+        # a first row "#<TAB>SYM" is a TwoColumn row, not a CoNLL-U comment
+        pseudo = two_col_file(tmp_path, "# jien", "SYM PRON", "pseudo.tsv")
+        teacher = two_col_file(tmp_path, "# jien", "SYM NOUN", "teacher.tsv")
+        out = tmp_path / "out.tsv"
+        assert main(["distill", "apply", "--pseudo", str(pseudo), "--teacher", str(teacher),
+                     "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == "#\tSYM\njien\tNOUN\n"
+
 
 class TestMixCommands:
     def test_upsample(self, tmp_path):
@@ -383,6 +392,12 @@ class TestNumericFlags:
                 "--schema", "pos", "--lexicon", str(lex), "--out", str(tmp_path / "out"),
                 "--report", str(tmp_path / "report"), "--seed", "3", *flags]
 
+    def upsample(self, tmp_path, *flags):
+        gold = tmp_path / "gold.txt"
+        gold.write_text("a\nb\n", encoding="utf-8")
+        return ["mix", "upsample", "--gold", str(gold), "--out", str(tmp_path / "out"),
+                "--seed", "1", *flags]
+
     @pytest.mark.parametrize("command,flags", [
         ("induce", ("--threads", "0")),
         ("induce", ("--threads", "-2")),
@@ -392,6 +407,8 @@ class TestNumericFlags:
         ("mono", ("--threads", "0")),
         ("mono", ("--limit", "-3")),
         ("labeled", ("--threads", "0")),
+        ("upsample", ("--target-size", "0")),
+        ("upsample", ("--target-size", "-5")),
     ])
     def test_rejected_with_exit_1_and_no_output(self, tmp_path, capsys, command, flags):
         argv = getattr(self, command)(tmp_path, *flags)
@@ -575,6 +592,41 @@ def test_commit_removes_a_temp_file_whose_write_failed(tmp_path):
     with pytest.raises(OSError, match="disk full"):
         outputs.commit()
     assert list(tmp_path.iterdir()) == []
+
+
+def test_commit_syncs_files_before_renames_and_directories_after(tmp_path, monkeypatch):
+    calls = []  # ("fsync", inode) and ("replace", destination), in call order
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        calls.append(("fsync", os.fstat(fd).st_ino))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        calls.append(("replace", Path(dst)))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    first, second, third = tmp_path / "a.txt", sub / "b.txt", tmp_path / "c.txt"
+    first.write_text("old", encoding="utf-8")
+    outputs = cli._Outputs()
+    for path in (first, second, third):
+        outputs.add(path, lambda p, text=path.name: p.write_text(text, encoding="utf-8"))
+    outputs.commit()
+
+    inode = lambda path: path.stat().st_ino
+    assert calls == [
+        ("fsync", inode(first)), ("fsync", inode(second)), ("fsync", inode(third)),
+        ("replace", first.with_name(f"a.txt.{os.getpid()}.old~")),
+        ("replace", first), ("replace", second), ("replace", third),
+        ("fsync", inode(tmp_path)), ("fsync", inode(sub)),
+    ]
+    assert [p.read_text(encoding="utf-8") for p in (first, second, third)] == [
+        "a.txt", "b.txt", "c.txt"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "c.txt", "sub"]
 
 
 def test_induce_logs_each_directions_log_likelihood_curve(tmp_path):

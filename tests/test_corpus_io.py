@@ -280,6 +280,18 @@ def test_sniff_format(tmp_path):
     assert sniff_format(write(tmp_path, CONLLU, "b.conllu")) is Format.CONLLU
 
 
+def test_sniff_format_hash_line_with_a_tab_is_not_a_comment(tmp_path):
+    # a TwoColumn row whose token starts with '#' (a symbol, a hashtag)
+    for text, label in (("#\tSYM\nI\tPRON\n", "SYM"), ("#tag\tX\n\nwar\tNOUN\n", "X")):
+        path = write(tmp_path, text, "a.tsv")
+        assert sniff_format(path) is Format.TWO_COL
+        assert read_labeled(path, Schema.POS, Format.TWO_COL).sentences[0].labels[0] == label
+    # a '#' line with a tab is judged by its column count; one without is a comment
+    ten_columns = "#\t" + "\t".join("_" * 9) + "\n"
+    assert sniff_format(write(tmp_path, ten_columns, "b.conllu")) is Format.CONLLU
+    assert sniff_format(write(tmp_path, "# comment\nI\tPRON\n", "c.conllu")) is Format.CONLLU
+
+
 # Round trips over arbitrary Unicode tokens (see conftest.TOKENS and FIELDS
 # for what the formats cannot carry). A file whose text starts with a
 # byte-order mark is skipped: every reader drops a leading one.

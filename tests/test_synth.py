@@ -11,6 +11,7 @@ from conftest import (
     LABELED_WANT,
     MONO_SRC,
     MONO_WANT,
+    TOKENS,
     build_lexicon,
     pos_corpus,
     random_labeled_sentence,
@@ -21,21 +22,19 @@ from lexsynth.corpus_io import LabeledCorpus, LabeledSentence, Schema
 from lexsynth.errors import ValidationError
 from lexsynth.lexicon import Lexicon
 from lexsynth.synth import (
-    CasePolicy,
     CoverageReport,
     SynthesisConfig,
     coverage,
     synth_labeled,
     synth_mono,
-    translate_tokens,
 )
 
 
-def reference_synth(sentences, lex, cfg, first_index=0, split=True):
+def reference_synth(sentences, lex, cfg):
     """Sentence by sentence, token by token: (output, coverage report).
 
-    Sentence ``k`` draws with index ``first_index + k``; ``split`` expands a
-    multi-token target into its tokens, otherwise a target is one token.
+    Sentence ``k`` draws with index ``k``; a multi-token target expands into
+    its tokens.
     """
     out = []
     total = replaced = 0
@@ -52,11 +51,7 @@ def reference_synth(sentences, lex, cfg, first_index=0, split=True):
                 continue
             replaced += 1
             covered.add(key)
-            target = cands[draw(cfg.seed, first_index + i, j, len(cands))].target
-            if (cfg.case_policy is CasePolicy.RESTORE_CASE
-                    and token[:1].isupper() and token[1:].islower()):
-                target = target[:1].upper() + target[1:]
-            row.extend(target.split() if split else [target])
+            row.extend(cands[draw(cfg.seed, i, j, len(cands))].target.split())
         out.append(row)
     report = CoverageReport(
         total_tokens=total,
@@ -69,41 +64,41 @@ def reference_synth(sentences, lex, cfg, first_index=0, split=True):
     return out, report
 
 
+def translate_one(sentence, lex, seed):
+    """The synthesized tokens of a one-sentence corpus."""
+    out, _ = synth_mono([sentence], lex, SynthesisConfig(seed=seed))
+    return out[0]
+
+
 class TestTranslateTokens:
+    """Worked examples of translating the tokens of one sentence."""
+
     def test_worked_labeled_tokens(self):
         lex = build_lexicon([("I", "jien"), ("suspect", "iddubita"), ("the", "il")])
-        got = translate_tokens(["I", "suspect", "the", "streets"], lex, SynthesisConfig(seed=0), 0)
+        got = translate_one(["I", "suspect", "the", "streets"], lex, seed=0)
         assert got == ["jien", "iddubita", "il", "streets"]
 
     def test_empty_lexicon_is_identity(self):
         sent = ["any", "words", "here", "."]
-        assert translate_tokens(sent, Lexicon(), SynthesisConfig(seed=9), 5) == sent
+        assert translate_one(sent, Lexicon(), seed=9) == sent
 
     def test_ambiguous_draws_are_near_uniform(self):
         lex = build_lexicon([("x", "a"), ("x", "b")])
-        cfg = SynthesisConfig(seed=123)
-        counts = Counter(translate_tokens(["x"], lex, cfg, i)[0] for i in range(10000))
+        out, _ = synth_mono([["x"]] * 10000, lex, SynthesisConfig(seed=123))
+        counts = Counter(s[0] for s in out)
         assert 0.47 <= counts["a"] / 10000 <= 0.53
         assert 0.47 <= counts["b"] / 10000 <= 0.53
 
     def test_draws_vary_along_token_axis_too(self):
         lex = build_lexicon([("x", "a"), ("x", "b")])
-        out = translate_tokens(["x"] * 10000, lex, SynthesisConfig(seed=7), 0)
+        out = translate_one(["x"] * 10000, lex, seed=7)
         frac = Counter(out)["a"] / 10000
         assert 0.47 <= frac <= 0.53
 
     def test_multi_token_target_expands_in_place(self):
         lex = build_lexicon([("unnecessary", "bla bzonn")])
-        got = translate_tokens(["so", "unnecessary", "!"], lex, SynthesisConfig(seed=1), 0)
+        got = translate_one(["so", "unnecessary", "!"], lex, seed=1)
         assert got == ["so", "bla", "bzonn", "!"]
-
-    def test_restore_case_policy(self):
-        lex = build_lexicon([("baghdad", "bagdad"), ("week", "ġimgħa")])
-        cfg = SynthesisConfig(seed=1, case_policy=CasePolicy.RESTORE_CASE)
-        assert translate_tokens(["Baghdad", "week"], lex, cfg, 0) == ["Bagdad", "ġimgħa"]
-        # default emits the lexicon form even for capitalized sources
-        cfg_default = SynthesisConfig(seed=1)
-        assert translate_tokens(["Baghdad"], lex, cfg_default, 0) == ["bagdad"]
 
 
 class TestSynthMono:
@@ -217,11 +212,11 @@ words = st.sampled_from(["the", "of", "state", "Which", "it", "zzz", "UNKNOWN", 
 def test_output_tokens_come_from_input_or_candidates(sentence, seed):
     lex = build_lexicon([("the", "il"), ("of", "ta’"), ("state", "stat"),
                          ("which", "lima"), ("it", "hi"), ("it", "hija")])
-    out = translate_tokens(sentence, lex, SynthesisConfig(seed=seed), 3)
+    out = translate_one(sentence, lex, seed)
     allowed = set(sentence)
     for token in sentence:
         for entry in lex.lookup(token):
-            allowed.update(entry.target_tokens)
+            allowed.update(entry.target.split())
     assert set(out) <= allowed
 
 
@@ -250,27 +245,21 @@ DRAW_WORDS = ["x", "X", "Bb", "bb", "BB", "One", "ONE", "Ħaġa", "two", "Two", 
 
 @given(
     seed=st.integers(-2**70, 2**70),
-    sentence_index=st.one_of(st.integers(-2**70, -1), st.integers(0, 2**64 - 1),
-                             st.integers(2**64, 2**70)),
-    sentence=st.lists(st.sampled_from(DRAW_WORDS), max_size=400),
-    policy=st.sampled_from(CasePolicy),
+    corpus=st.lists(st.lists(st.sampled_from(DRAW_WORDS), max_size=400), max_size=4),
 )
 @settings(max_examples=300, deadline=None)
-def test_picks_match_reference_draw(seed, sentence_index, sentence, policy):
-    cfg = SynthesisConfig(seed=seed, case_policy=policy)
-    want, _ = reference_synth([sentence], DRAW_LEX, cfg, first_index=sentence_index)
-    assert translate_tokens(sentence, DRAW_LEX, cfg, sentence_index) == want[0]
+def test_picks_match_reference_draw(seed, corpus):
+    cfg = SynthesisConfig(seed=seed)
+    assert synth_mono(corpus, DRAW_LEX, cfg) == reference_synth(corpus, DRAW_LEX, cfg)
 
 
-@pytest.mark.parametrize("seed, sentence_index", [
-    (0, 0), (-1, -1), (2**64 - 1, 2**64 - 1), (2**64, 2**64), (-2**70, 2**70), (2**70, -2**70),
-])
-def test_long_sentence_matches_reference_draw(seed, sentence_index):
+@pytest.mark.parametrize("seed", [0, -1, 2**64 - 1, 2**64, -2**70, 2**70])
+def test_long_sentence_matches_reference_draw(seed):
     rng = random.Random(seed % 1000)
     sentence = [rng.choice(DRAW_WORDS) for _ in range(30_000)]
+    corpus = [sentence, sentence[::-1]]
     cfg = SynthesisConfig(seed=seed)
-    want, _ = reference_synth([sentence], DRAW_LEX, cfg, first_index=sentence_index)
-    assert translate_tokens(sentence, DRAW_LEX, cfg, sentence_index) == want[0]
+    assert synth_mono(corpus, DRAW_LEX, cfg) == reference_synth(corpus, DRAW_LEX, cfg)
 
 
 def _edge_corpus(n_sents, block, rng):
@@ -285,14 +274,13 @@ def _edge_corpus(n_sents, block, rng):
 
 
 @pytest.mark.parametrize("block", [None, 1, 3])
-@pytest.mark.parametrize("policy", list(CasePolicy))
-def test_blocked_core_matches_reference_loop(monkeypatch, block, policy):
+def test_blocked_core_matches_reference_loop(monkeypatch, block):
     if block is not None:
         monkeypatch.setattr(synth, "_BLOCK_SENTS", block)
     block = synth._BLOCK_SENTS
     n_sents = 2 * block + block // 2 + 2
     corpus = _edge_corpus(n_sents, block, random.Random(block))
-    cfg = SynthesisConfig(seed=2**63 + 5, case_policy=policy)
+    cfg = SynthesisConfig(seed=2**63 + 5)
 
     want, want_report = reference_synth(corpus, DRAW_LEX, cfg)
     got, report = synth_mono(corpus, DRAW_LEX, cfg)
@@ -305,7 +293,7 @@ def test_blocked_core_matches_reference_loop(monkeypatch, block, policy):
     labeled = LabeledCorpus(Schema.POS, [
         LabeledSentence(s or ["."], Schema.POS, labels=["X"] * max(len(s), 1)) for s in corpus])
     tokens = [s.tokens for s in labeled.sentences]
-    want, want_report = reference_synth(tokens, single, cfg, split=False)
+    want, want_report = reference_synth(tokens, single, cfg)
     got, report = synth_labeled(labeled, single, cfg)
     assert [s.tokens for s in got.sentences] == want
     assert [s.labels for s in got.sentences] == [s.labels for s in labeled.sentences]
@@ -322,3 +310,31 @@ def test_output_shares_token_strings():
     assert out == [["keep", "pp", "qq"], ["pp", "qq", "me"]]
     assert out[0][0] is corpus[0][0] and out[1][2] is corpus[1][1]
     assert out[0][1] is out[1][0] and out[0][2] is out[1][1]
+
+
+# Source words and their mixed-case spellings, next to words that are
+# (almost always) not covered.
+@st.composite
+def single_token_case(draw):
+    pairs = draw(st.lists(st.tuples(TOKENS, TOKENS), min_size=1, max_size=8))
+    lex = Lexicon()
+    for source, target in pairs:
+        # Lexicon.add normalizes the padding away
+        lex.add(source, draw(st.sampled_from(["", " ", "  "])) + target + " ")
+    spellings = [f(s) for s, _ in pairs for f in (str, str.upper, str.lower, str.title)]
+    word = st.sampled_from(spellings) | TOKENS
+    corpus = draw(st.lists(st.lists(word, min_size=1, max_size=8), max_size=6))
+    return lex, corpus
+
+
+@given(single_token_case(), st.integers(-2**70, 2**70))
+@settings(max_examples=200, deadline=None)
+def test_labeled_tokens_equal_mono_tokens(case, seed):
+    # synth_labeled calls the same core as synth_mono, which splits each
+    # chosen target; a single-token target must split to itself.
+    lex, corpus = case
+    cfg = SynthesisConfig(seed=seed)
+    labeled = LabeledCorpus(Schema.POS, [
+        LabeledSentence(s, Schema.POS, labels=["X"] * len(s)) for s in corpus])
+    got, report = synth_labeled(labeled, lex, cfg)
+    assert ([s.tokens for s in got.sentences], report) == synth_mono(corpus, lex, cfg)
