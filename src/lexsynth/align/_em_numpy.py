@@ -3,25 +3,24 @@
 import numpy as np
 
 
-def estep_chunk(t, k_flat, group_ptr, g_lo, g_hi, n_pairs):
-    """Expected counts and log-likelihood for groups [g_lo, g_hi).
+def estep_chunk(pair_t, local, group_ptr):
+    """Expected counts of a chunk's pairs and the chunk's log-likelihood.
 
     A group is one target-token position; its slots, ``group_ptr[g]`` up to
     ``group_ptr[g + 1]``, are the NULL slot plus every source token of the
-    sentence. ``k_flat[s]`` is the translation-table pair index of slot s.
-    The chunk's group index per slot is made here with ``np.repeat``. Each
-    group's denominator is summed by ``np.bincount``, which adds the group's
-    slots one at a time in slot order; ``np.add.reduceat`` would sum them
-    pairwise and change the low bits of the table.
+    sentence. ``local[s]`` indexes slot s's pair among the chunk's distinct
+    pairs, and ``pair_t`` holds those pairs' probabilities; the counts come
+    back in the same order. The group index per slot is made here with
+    ``np.repeat``. Each group's denominator is summed by ``np.bincount``,
+    which adds the group's slots one at a time in slot order;
+    ``np.add.reduceat`` would sum them pairwise and change the low bits of
+    the table.
     """
-    s_lo = int(group_ptr[g_lo])
-    s_hi = int(group_ptr[g_hi])
-    widths = np.diff(group_ptr[g_lo:g_hi + 1])
-    g = np.repeat(np.arange(g_hi - g_lo), widths)
-    k = k_flat[s_lo:s_hi]
-    tk = t[k]
-    denom = np.bincount(g, weights=tk, minlength=g_hi - g_lo)
+    widths = np.diff(group_ptr)
+    g = np.repeat(np.arange(len(widths)), widths)
+    tk = pair_t[local]
+    denom = np.bincount(g, weights=tk, minlength=len(widths))
     ll = float(np.log(denom).sum() - np.log(widths.astype(np.float64)).sum())
     post = tk / denom[g]
-    counts = np.bincount(k, weights=post, minlength=n_pairs)
+    counts = np.bincount(local, weights=post, minlength=len(pair_t))
     return counts, ll

@@ -7,38 +7,37 @@ words align to nothing. Its one pair index is the sorted pair keys
 (``_t``): a pair is found with ``searchsorted``, and a key's source and
 target ids are ``key // n_tgt`` and ``key % n_tgt``.
 
-Training and Viterbi alignment share one slot layout (``_slot_layout``). A
-slot is one (sentence, target token, source position), position 0 being
-NULL; the slots of one target token form its group, NULL first, and
-``group_ptr`` gives each group's slot range. Each slot holds the int32 index
-of its (source type, target type) pair among the sorted distinct pair keys
-(``k_flat``). One in-place sort finds them all: each slot's pair key + 1 is
-packed above the slot's own index into one int64, so sorting the packed keys
-orders the slots by key, the low bits give the order, and a first-of-run
-mask and its cumulative sum give each slot's index. The packed key must fit
-in 63 bits: ``ValidationError`` is raised when the slot count, rounded up to
-a power of two, times the key space (source types x target types, plus one
-for unknown words) exceeds 2**63, or when there are more than 2**31 slots
-(the int32 limit). No per-slot group index is stored; code that needs one
-makes it from ``group_ptr`` with ``np.repeat``.
+Training and Viterbi alignment share one slot layout (``_chunk_layouts``),
+built one ``_CHUNK_SENTS``-sentence chunk at a time. A slot is one
+(sentence, target token, source position), position 0 being NULL; the slots
+of one target token form its group, NULL first, and a chunk's ``group_ptr``
+gives each of its groups' slot ranges. Groups never cross chunks. Each slot
+holds ``local``, the int32 index of its (source type, target type) pair
+among the chunk's sorted distinct pair keys, found with ``np.unique``. The
+one size limit is that int32 index: ``ValidationError`` is raised, before
+any slot array is made, when a chunk has more than 2**31 slots. No per-slot
+group index is stored; code that needs one makes it from ``group_ptr`` with
+``np.repeat``.
 
-EM runs on that layout. The E-step (``_em_numpy.estep_chunk``, in numpy)
-spreads each group's posterior over its slots' pairs. It runs once per
-fixed-size sentence chunk, which bounds its slot-sized temporaries, and the
-chunk partials are summed in ascending chunk order.
+Training merges the chunks' distinct keys into the table's ``_keys`` (one
+sort and a first-of-run mask) and maps each chunk's keys to the table pair
+ids ``pairs`` with ``searchsorted``. EM runs on those chunks. The E-step
+(``_em_numpy.estep_chunk``, in numpy) takes a chunk's pair probabilities
+``t[pairs]``, spreads each group's posterior over its slots' pairs and
+returns counts for the chunk's pairs only; they are added into the table's
+counts in ascending chunk order.
 
 Each direction's layout is built once. ``train_model1`` keeps the token ids
-it trained on and ``k_flat`` in the table. ``viterbi_align`` always encodes
+it trained on and its chunks in the table. ``viterbi_align`` always encodes
 the corpus it aligns; when those ids equal the stored ones, the layout would
-be the same and its pairs are the table's own, in order, so each slot's
-probability is read straight from the table. Any other corpus, including
-the training corpus changed in place, gets its own layout, and each
-distinct pair's probability is found with one batched ``searchsorted``.
-Either way one segmented argmax over all groups replaces any per-sentence
-loop: NULL's slot is masked, ``np.maximum.reduceat`` gives each group's best
-probability, the first slot holding it is the best source token (ties go
-to the lowest index), and the token links iff that probability is at least
-NULL's.
+be the same, so each chunk's pair probabilities are read straight from the
+table with ``pairs``. Any other corpus, including the training corpus
+changed in place, gets its own layout, and each chunk's distinct pairs are
+found in the table with one batched ``searchsorted``. Either way one
+segmented argmax per chunk replaces any per-sentence loop: NULL's slot is
+masked, ``np.maximum.reduceat`` gives each group's best probability, the
+first slot holding it is the best source token (ties go to the lowest
+index), and the token links iff that probability is at least NULL's.
 """
 
 from __future__ import annotations
@@ -103,11 +102,12 @@ class SentenceAlignment:
 
 
 class _TrainedLayout(NamedTuple):
-    """The corpus a table was trained on and its slot layout's pair index
-    per slot (see ``_slot_layout``)."""
+    """The corpus a table was trained on and its slot layout: per chunk (see
+    ``_chunk_layouts``), ``group_ptr``, the table pair index of each of the
+    chunk's distinct pairs and ``local``."""
 
     ids: tuple  # src_lens, src_flat, tgt_lens, tgt_flat (see _token_ids)
-    k_flat: np.ndarray
+    chunks: list
 
 
 @dataclass(eq=False)
@@ -152,11 +152,16 @@ class TranslationTable:
         f = self.tgt_id(tgt_word)
         if e < 0 or f < 0:
             return 0.0
-        key = e * self.target_vocab_size + f
-        k = np.searchsorted(self._keys, key)
-        if k < len(self._keys) and self._keys[k] == key:
-            return float(self._t[k])
-        return 0.0
+        return float(self._lookup(np.array([e * self.target_vocab_size + f]))[0])
+
+    def _lookup(self, keys: np.ndarray) -> np.ndarray:
+        """The probability of each pair key, 0 for a pair the table lacks."""
+        pos = np.searchsorted(self._keys, keys)
+        hit = pos < len(self._keys)
+        hit[hit] = self._keys[pos[hit]] == keys[hit]
+        pair_t = np.zeros(len(keys))
+        pair_t[hit] = self._t[pos[hit]]
+        return pair_t
 
     def probs(self) -> dict[str, dict[str, float]]:
         """Nested source → target → probability dict (small tables only)."""
@@ -168,9 +173,8 @@ class TranslationTable:
 
     def row_sums(self) -> dict[str, float]:
         """Per-source-word probability mass (should be 1 for every row)."""
-        rows = np.arange(self.source_vocab_size)
-        row_start = np.searchsorted(self._keys // self.target_vocab_size, rows)
-        sums = np.add.reduceat(self._t, row_start)
+        sums = np.bincount(self._keys // self.target_vocab_size, weights=self._t,
+                           minlength=self.source_vocab_size)
         return {w: float(s) for w, s in zip(self.src_words, sums)}
 
 
@@ -216,16 +220,17 @@ def _token_ids(sentences, word_id) -> tuple[np.ndarray, np.ndarray]:
     return lens, flat
 
 
-def _group_ptr(src_lens, tgt_lens) -> np.ndarray:
-    """Slot offsets of the groups: group g's slots are ``ptr[g]:ptr[g+1]``."""
-    widths = np.repeat(src_lens + 1, tgt_lens)  # slots per group
-    ptr = np.zeros(len(widths) + 1, dtype=np.int64)
-    np.cumsum(widths, out=ptr[1:])
+def _offsets(lens) -> np.ndarray:
+    """Offsets of consecutive runs of the given lengths: run i is
+    ``ptr[i]:ptr[i+1]``."""
+    ptr = np.zeros(len(lens) + 1, dtype=np.int64)
+    np.cumsum(lens, out=ptr[1:])
     return ptr
 
 
-def _slot_layout(src_lens, src_flat, tgt_lens, tgt_flat, n_src, n_tgt):
-    """The slots of a corpus and the type pair behind each slot.
+def _chunk_layouts(src_lens, src_flat, tgt_lens, tgt_flat, n_tgt):
+    """The slot layout of a corpus, one ``_CHUNK_SENTS``-sentence chunk at a
+    time.
 
     A slot is one (sentence, target token, source position) with position 0
     the NULL source (id 0); its group is its (sentence, target token), so a
@@ -233,63 +238,37 @@ def _slot_layout(src_lens, src_flat, tgt_lens, tgt_flat, n_src, n_tgt):
     A slot's pair key is ``src_id * n_tgt + tgt_id``, or -1 when either id
     is -1 (a word the table does not know).
 
-    Returns ``group_ptr`` (see ``_group_ptr``), the sorted distinct
-    ``pair_keys`` and ``k_flat`` (int32 index into ``pair_keys`` of each
-    slot's key). Raises ``ValidationError`` when the slots and the key space
-    are too many to pack into one int64 sort key.
+    Yields, per chunk, ``group_ptr`` (group g's slots are
+    ``group_ptr[g]:group_ptr[g+1]``), the sorted distinct pair keys and
+    ``local``, the int32 index into those keys of each slot. Raises
+    ``ValidationError``, before any slot array is made, when a chunk has
+    more than 2**31 slots (the int32 limit).
     """
-    n_sents = len(src_lens)
-    group_ptr = _group_ptr(src_lens, tgt_lens)
-    widths = np.diff(group_ptr)
-    n_slots = int(group_ptr[-1])
-    # A slot's sort key packs its pair key + 1 above ``bits`` low bits that
-    # hold the slot's index, so it must fit in 63 bits; the index of a
-    # slot's pair must fit in int32.
-    bits = max(n_slots - 1, 0).bit_length()
-    key_space = n_src * n_tgt + 1  # every pair key and -1
-    if key_space << bits > 1 << 63 or n_slots > 1 << 31:
+    starts = np.arange(0, len(src_lens), _CHUNK_SENTS)
+    most = int(np.add.reduceat(tgt_lens * (src_lens + 1), starts).max(initial=0))
+    if most > 1 << 31:
         raise ValidationError(
-            f"corpus too large to align: {n_slots} slots (at most 2**31) and a "
-            f"key space of {key_space} pair keys do not fit one 63-bit sort key")
-
-    # A "block" is a sentence's NULL id followed by its source ids; the
-    # source id of a slot is read from its sentence's block at the slot's
-    # offset within its group.
-    block_ptr = np.zeros(n_sents + 1, dtype=np.int64)
-    np.cumsum(src_lens + 1, out=block_ptr[1:])
-    blocks = np.zeros(int(block_ptr[-1]), dtype=np.int64)
-    put_mask = np.ones(len(blocks), dtype=bool)
-    put_mask[block_ptr[:-1]] = False
-    blocks[put_mask] = src_flat
-    sentence_of_group = np.repeat(np.arange(n_sents, dtype=np.int64), tgt_lens)
-    shift = np.repeat(group_ptr[:-1] - block_ptr[sentence_of_group], widths)
-    slot_e = blocks[np.arange(n_slots, dtype=np.int64) - shift]
-    del sentence_of_group, shift, blocks
-    slot_f = np.repeat(tgt_flat, widths)
-
-    packed = slot_e * n_tgt
-    packed += slot_f
-    packed[(slot_e < 0) | (slot_f < 0)] = -1
-    del slot_e, slot_f
-    packed += 1
-    packed <<= bits
-    packed |= np.arange(n_slots, dtype=np.int64)
-    # Packed keys are distinct, so an in-place sort orders the slots by key
-    # and then by index; each temporary is dropped as soon as it is dead.
-    packed.sort()
-    order = packed & ((1 << bits) - 1)  # slot at each sorted position
-    packed >>= bits
-    first = np.empty(n_slots, dtype=bool)  # first slot of each run of equal keys
-    first[:1] = True
-    np.not_equal(packed[1:], packed[:-1], out=first[1:])
-    pair_keys = packed[first] - 1
-    del packed
-    ranks = np.cumsum(first, dtype=np.int32)
-    del first
-    ranks -= 1
-    k_flat = np.empty(n_slots, dtype=np.int32)
-    k_flat[order] = ranks
-    return group_ptr, pair_keys, k_flat
+            f"corpus too large to align: a chunk of {_CHUNK_SENTS} sentences "
+            f"has {most} slots (at most 2**31)")
+    cuts = starts[1:]
+    for s_lens, s_flat, t_lens, t_flat in zip(
+            np.split(src_lens, cuts), np.split(src_flat, _offsets(src_lens)[cuts]),
+            np.split(tgt_lens, cuts), np.split(tgt_flat, _offsets(tgt_lens)[cuts])):
+        group_ptr = _offsets(np.repeat(s_lens + 1, t_lens))
+        widths = np.diff(group_ptr)
+        # A "block" is a sentence's NULL id followed by its source ids; the
+        # source id of a slot is read from its sentence's block at the
+        # slot's offset within its group.
+        blocks = np.insert(s_flat, _offsets(s_lens)[:-1], 0)
+        block_of_group = np.repeat(_offsets(s_lens + 1)[:-1], t_lens)
+        shift = np.repeat(group_ptr[:-1] - block_of_group, widths)
+        slot_e = blocks[np.arange(group_ptr[-1]) - shift]
+        slot_f = np.repeat(t_flat, widths)
+        keys = slot_e * n_tgt
+        keys += slot_f
+        keys[(slot_e < 0) | (slot_f < 0)] = -1
+        pair_keys, local = np.unique(keys, return_inverse=True)
+        yield group_ptr, pair_keys, local.astype(np.int32)
 
 
 def train_model1(corpus: ParallelCorpus, cfg: AlignerConfig = AlignerConfig()) -> TranslationTable:
@@ -315,30 +294,29 @@ def train_model1(corpus: ParallelCorpus, cfg: AlignerConfig = AlignerConfig()) -
     n_src = len(src_index)
     n_tgt = len(tgt_index)
 
-    group_ptr, pair_keys, k_flat = _slot_layout(
-        src_lens, src_flat, tgt_lens, tgt_flat, n_src, n_tgt)
-    n_pairs = len(pair_keys)
+    chunks = list(_chunk_layouts(src_lens, src_flat, tgt_lens, tgt_flat, n_tgt))
+    # The table's pairs are the chunks' keys merged: sorted, first of each run.
+    merged = np.concatenate([keys for _, keys, _ in chunks])
+    merged.sort()
+    first = np.empty(len(merged), dtype=bool)
+    first[:1] = True
+    np.not_equal(merged[1:], merged[:-1], out=first[1:])
+    pair_keys = merged[first]
+    del merged, first
+    chunks = [(group_ptr, np.searchsorted(pair_keys, keys).astype(np.int32), local)
+              for group_ptr, keys, local in chunks]
     row_ptr = np.searchsorted(pair_keys // n_tgt, np.arange(n_src + 1, dtype=np.int64))
     row_len = np.diff(row_ptr)
 
     t = 1.0 / np.repeat(row_len, row_len).astype(np.float64)
 
-    n_sents = len(corpus)
-    sent_groups = np.zeros(n_sents + 1, dtype=np.int64)
-    np.cumsum(tgt_lens, out=sent_groups[1:])
-    chunks = []
-    for lo in range(0, n_sents, _CHUNK_SENTS):
-        hi = min(lo + _CHUNK_SENTS, n_sents)
-        chunks.append((int(sent_groups[lo]), int(sent_groups[hi])))
-
     log_likelihoods: list[float] = []
     for _ in range(cfg.iterations):
-        counts = np.zeros(n_pairs)
+        counts = np.zeros(len(pair_keys))
         ll = 0.0
-        for g_lo, g_hi in chunks:
-            part, part_ll = _DEFAULT_KERNEL.estep_chunk(
-                t, k_flat, group_ptr, g_lo, g_hi, n_pairs)
-            counts += part
+        for group_ptr, pairs, local in chunks:
+            part, part_ll = _DEFAULT_KERNEL.estep_chunk(t[pairs], local, group_ptr)
+            np.add.at(counts, pairs, part)  # a chunk's pairs are distinct
             ll += part_ll
         log_likelihoods.append(ll)
         row_sums = np.add.reduceat(counts, row_ptr[:-1])
@@ -353,7 +331,7 @@ def train_model1(corpus: ParallelCorpus, cfg: AlignerConfig = AlignerConfig()) -
         _tgt_index=tgt_index,
         _t=t,
         _keys=pair_keys,
-        _trained_on=_TrainedLayout((src_lens, src_flat, tgt_lens, tgt_flat), k_flat),
+        _trained_on=_TrainedLayout((src_lens, src_flat, tgt_lens, tgt_flat), chunks),
     )
 
 
@@ -371,36 +349,37 @@ def viterbi_align(corpus: ParallelCorpus, table: TranslationTable) -> list[Sente
     src_lens, src_flat, tgt_lens, tgt_flat = ids
     trained = table._trained_on
     if trained is not None and all(map(np.array_equal, ids, trained.ids)):
-        # The corpus EM ran on: its layout's pairs are the table's, in order.
-        group_ptr = _group_ptr(src_lens, tgt_lens)
-        slot_t = table._t[trained.k_flat]
+        # The corpus EM ran on: its chunks' pairs are the table's.
+        chunks = ((group_ptr, table._t[pairs], local)
+                  for group_ptr, pairs, local in trained.chunks)
     else:
-        group_ptr, pair_keys, k_flat = _slot_layout(
-            src_lens, src_flat, tgt_lens, tgt_flat,
-            table.source_vocab_size, table.target_vocab_size)
-        pos = np.searchsorted(table._keys, pair_keys)
-        hit = pos < len(table._keys)
-        hit[hit] = table._keys[pos[hit]] == pair_keys[hit]
-        pair_t = np.zeros(len(pair_keys))
-        pair_t[hit] = table._t[pos[hit]]
-        slot_t = pair_t[k_flat]
-        del k_flat
+        chunks = ((group_ptr, table._lookup(keys), local)
+                  for group_ptr, keys, local in _chunk_layouts(
+                      src_lens, src_flat, tgt_lens, tgt_flat, table.target_vocab_size))
 
     # Segmented argmax over each group's source slots: the NULL slot is
     # masked below every probability, a group links iff its maximum beats or
     # ties NULL, and the first slot at the maximum is the lowest-index best.
-    starts = group_ptr[:-1]
-    p_null = slot_t[starts]
-    slot_t[starts] = -1.0
-    best_t = np.maximum.reduceat(slot_t, starts)
-    linked = np.flatnonzero(best_t >= p_null)
-    # each group has one slot at its maximum
-    at_best = np.flatnonzero(slot_t == np.repeat(best_t, np.diff(group_ptr)))
-    link_start = starts[linked]
-    link_i = (at_best[np.searchsorted(at_best, link_start)] - link_start - 1).tolist()
+    # Groups never cross chunks, so it runs one chunk at a time.
+    linked_parts, link_i_parts = [], []
+    group_lo = 0
+    for group_ptr, pair_t, local in chunks:
+        slot_t = pair_t[local]
+        starts = group_ptr[:-1]
+        p_null = slot_t[starts]
+        slot_t[starts] = -1.0
+        best_t = np.maximum.reduceat(slot_t, starts)
+        linked = np.flatnonzero(best_t >= p_null)
+        # each group has one slot at its maximum
+        at_best = np.flatnonzero(slot_t == np.repeat(best_t, np.diff(group_ptr)))
+        link_start = starts[linked]
+        link_i_parts.append(at_best[np.searchsorted(at_best, link_start)] - link_start - 1)
+        linked_parts.append(linked + group_lo)
+        group_lo += len(starts)
+    linked = np.concatenate(linked_parts)
+    link_i = np.concatenate(link_i_parts).tolist()
 
-    sent_groups = np.zeros(len(corpus) + 1, dtype=np.int64)
-    np.cumsum(tgt_lens, out=sent_groups[1:])
+    sent_groups = _offsets(tgt_lens)
     sent = np.searchsorted(sent_groups, linked, side="right") - 1
     link_j = (linked - sent_groups[sent]).tolist()
     link_ptr = np.searchsorted(linked, sent_groups).tolist()

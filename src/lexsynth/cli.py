@@ -434,6 +434,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
+    outputs = [path for path in (getattr(args, name, None)
+                                 for name in ("out", "report", "dump_alignments")) if path]
+    if len({Path(path).resolve() for path in outputs}) < len(outputs):
+        print(f"lexsynth: error: two outputs name the same file: {' '.join(outputs)}",
+              file=sys.stderr)
+        return USAGE_ERROR
     try:
         with _collector_paused():
             return args.func(args)

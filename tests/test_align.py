@@ -19,7 +19,7 @@ from lexsynth.align import (
     write_alignments,
 )
 from lexsynth.align import model1
-from lexsynth.align.model1 import TranslationTable, _slot_layout
+from lexsynth.align.model1 import TranslationTable, _chunk_layouts
 from lexsynth.errors import ValidationError
 from lexsynth.lexicon import Provenance
 
@@ -127,6 +127,32 @@ class TestTraining:
     def test_null_spelled_token_rejected_without_folding(self):
         with pytest.raises(ValidationError, match="reserved"):
             train_model1(NULL_TOKEN_CORPUS, AlignerConfig(case_fold=False))
+
+    def test_estep_runs_through_the_kernel_attribute_once_per_chunk(self, monkeypatch):
+        # the benchmark's tracer times the E-step by wrapping this attribute
+        corpus = verse_corpus(1500)  # two 1024-sentence chunks
+        plain = train_model1(corpus, AlignerConfig(iterations=2))
+        calls = []
+        estep = model1._DEFAULT_KERNEL.estep_chunk
+
+        def counted(*args):
+            calls.append(len(args[2]) - 1)  # groups in the chunk
+            return estep(*args)
+
+        monkeypatch.setattr(model1._DEFAULT_KERNEL, "estep_chunk", counted)
+        wrapped = train_model1(corpus, AlignerConfig(iterations=2))
+        assert len(calls) == 2 * 2
+        assert calls[:2] == calls[2:] and sum(calls[:2]) == sum(len(t) for _, t in corpus)
+        assert np.array_equal(wrapped._t, plain._t) and np.array_equal(wrapped._keys, plain._keys)
+        assert wrapped.log_likelihoods == plain.log_likelihoods
+
+
+def test_row_sums_of_rows_without_pairs_are_zero():
+    table = make_table({"a": {"x": 1.0}, "b": {}, "c": {"y": 1.0}}, ["x", "y"])
+    assert table.row_sums() == {NULL_WORD: 0.0, "a": 1.0, "b": 0.0, "c": 1.0}
+    # empty rows at the end of the table
+    table = make_table({"a": {"x": 1.0}, "b": {}}, ["x", "y"])
+    assert table.row_sums() == {NULL_WORD: 0.0, "a": 1.0, "b": 0.0}
 
 
 def make_table(rows, tgt_words):
@@ -253,13 +279,13 @@ class TestLayoutReuse:
     @pytest.fixture
     def layout_builds(self, monkeypatch):
         calls = []
-        build = model1._slot_layout
+        build = model1._chunk_layouts
 
         def spy(*args):
             calls.append(args)
             return build(*args)
 
-        monkeypatch.setattr(model1, "_slot_layout", spy)
+        monkeypatch.setattr(model1, "_chunk_layouts", spy)
         return calls
 
     def assert_reuse_matches_rebuild_and_oracle(self, corpus, table, layout_builds):
@@ -304,15 +330,22 @@ class TestLayoutReuse:
             self.assert_reuse_matches_rebuild_and_oracle(corpus, fresh, layout_builds)
 
 
-def test_slot_layout_rejects_keys_past_63_bits():
+def test_chunk_layout_accepts_any_key_space_and_rejects_oversized_chunks():
     one = np.array([1], dtype=np.int64)
     ids = (one, one, one, np.array([0], dtype=np.int64))  # 2 slots: NULL and source id 1
-    # 2 slots take 1 index bit, so 2 * n_tgt + 1 keys may use the other 62
-    group_ptr, pair_keys, k_flat = _slot_layout(*ids, 2, 2**61 - 1)
-    assert pair_keys.tolist() == [0, 2**61 - 1]
-    assert k_flat.tolist() == [0, 1] and k_flat.dtype == np.int32
-    with pytest.raises(ValidationError, match="2 slots"):
-        _slot_layout(*ids, 2, 2**61)
+    # any key space whose pair keys fit int64 lays out
+    for n_tgt in (2**61 - 1, 2**61, 2**62):
+        (group_ptr, pair_keys, local), = _chunk_layouts(*ids, n_tgt)
+        assert group_ptr.tolist() == [0, 2]
+        assert pair_keys.tolist() == [0, n_tgt]
+        assert local.tolist() == [0, 1] and local.dtype == np.int32
+    # one sentence of 2**16 source and 2**15 target tokens: 2**15 * (2**16 + 1)
+    # slots exceed the int32 local index; rejected before any slot is made
+    src_lens = np.array([2**16], dtype=np.int64)
+    tgt_lens = np.array([2**15], dtype=np.int64)
+    ids = (src_lens, np.ones(2**16, dtype=np.int64), tgt_lens, np.zeros(2**15, dtype=np.int64))
+    with pytest.raises(ValidationError, match="2147516416 slots"):
+        next(_chunk_layouts(*ids, 1))
 
 
 class TestSymmetrize:

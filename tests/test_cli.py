@@ -4,6 +4,7 @@ import logging
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -134,6 +135,22 @@ class TestLexCommands:
         assert main(argv) == 3
         assert "<NULL>" in capsys.readouterr().err
         assert set(tmp_path.iterdir()) == inputs  # no output, no temp file
+
+    def test_induce_chunk_past_2_31_slots_exit_3_quickly(self, tmp_path, capsys):
+        # one pair of 2**16 source and 2**15 target tokens: 2,147,516,416 slots
+        src = tmp_path / "src.txt"
+        tgt = tmp_path / "tgt.txt"
+        src.write_text(" ".join(["a"] * 2**16) + "\n", encoding="utf-8")
+        tgt.write_text(" ".join(["x"] * 2**15) + "\n", encoding="utf-8")
+        inputs = set(tmp_path.iterdir())
+        start = time.perf_counter()
+        code = main(["lex", "induce", "--src", str(src), "--tgt", str(tgt),
+                     "--out", str(tmp_path / "out.tsv")])
+        elapsed = time.perf_counter() - start
+        assert code == 3
+        assert "2147516416 slots" in capsys.readouterr().err
+        assert set(tmp_path.iterdir()) == inputs  # no output, no temp file
+        assert elapsed < 2.0  # rejected before any slot array is made
 
 
 class TestSynthCommands:
@@ -420,6 +437,49 @@ class TestNumericFlags:
     def test_mono_limit_zero_writes_empty_corpus(self, tmp_path):
         assert main(self.mono(tmp_path, "--limit", "0")) == 0
         assert (tmp_path / "out").read_text(encoding="utf-8") == ""
+
+
+class TestSameOutputPath:
+    """Two outputs naming one file are a usage error, caught before any input
+    is read: exit 1, nothing written, an existing target left as it was."""
+
+    def induce(self, tmp_path, first, second):
+        src = tmp_path / "src.txt"
+        tgt = tmp_path / "tgt.txt"
+        src.write_text("the house\na house\n", encoding="utf-8")
+        tgt.write_text("das haus\nein haus\n", encoding="utf-8")
+        return ["lex", "induce", "--src", str(src), "--tgt", str(tgt),
+                "--out", first, "--dump-alignments", second]
+
+    def mono(self, tmp_path, first, second):
+        lex = lexicon_file(tmp_path, [("a", "x")])
+        corpus = tmp_path / "mono.txt"
+        corpus.write_text("a\n" * 3, encoding="utf-8")
+        return ["synth", "mono", "--corpus", str(corpus), "--lexicon", str(lex),
+                "--out", first, "--report", second, "--seed", "1"]
+
+    @pytest.mark.parametrize("command", ["induce", "mono"])
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_rejected_with_exit_1_and_no_output(self, tmp_path, capsys, command, existing):
+        target = tmp_path / "x.out"
+        if existing:
+            target.write_text("kept\n", encoding="utf-8")
+        # two spellings of one path
+        argv = getattr(self, command)(tmp_path, str(target),
+                                      str(tmp_path / "sub" / ".." / "x.out"))
+        inputs = {p: p.read_bytes() for p in tmp_path.iterdir()}
+        assert main(argv) == 1
+        assert "x.out" in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in tmp_path.iterdir()} == inputs
+
+    @pytest.mark.parametrize("command", ["induce", "mono"])
+    def test_checked_before_inputs_are_read(self, tmp_path, command):
+        target = str(tmp_path / "x.out")
+        argv = getattr(self, command)(tmp_path, target, target)
+        for path in tmp_path.iterdir():
+            path.unlink()  # a missing input would otherwise exit 2
+        assert main(argv) == 1
+        assert not any(tmp_path.iterdir())
 
 
 @pytest.fixture
