@@ -1,16 +1,24 @@
 """Corpus parsing and serialization.
 
 Formats handled:
-  * plain monolingual text: one tokenized sentence per line, space-separated
-  * TwoColumn: ``token<TAB>label`` lines, blank line between sentences
-    (extra tab-separated columns are preserved for round-tripping)
+  * plain monolingual text: one tokenized sentence per line, space-separated;
+    blank lines are skipped
+  * parallel text: two line-aligned monolingual files
+  * TwoColumn: one ``token<TAB>label`` line per token; extra tab-separated
+    columns are kept as passthrough rows for round-tripping
   * CoNLL-U: standard 10-column lines; comments, multiword-token range lines
     (ID like ``1-2``) and empty-node lines (ID like ``1.1``) are kept verbatim
     as passthrough and excluded from the token sequence
-  * parallel text: two line-aligned monolingual files
 
-Inputs are UTF-8; a leading byte-order mark is dropped. All outputs are
-UTF-8 with LF line endings and a trailing newline.
+In both labeled formats a sentence is a block of lines, and blocks are
+separated by blank or whitespace-only lines; ``_blocks`` is the one reader
+of that layout. A sentence without passthrough rows is written with default
+rows: ``token<TAB>label`` for TwoColumn, and for CoNLL-U the ID, FORM and
+``_`` in the other eight columns before the labels are filled in.
+
+Inputs are UTF-8; a leading byte-order mark is dropped, and lines end at
+LF, CRLF or CR. All outputs are UTF-8 with LF line endings and a trailing
+newline.
 """
 
 from __future__ import annotations
@@ -174,35 +182,41 @@ def read_labeled(
     return _read_conllu(path, schema)
 
 
+def _blocks(path):
+    """Yield each sentence block of a labeled file as (line number, line) pairs.
+
+    Blocks are separated by blank or whitespace-only lines. Text mode has
+    already turned CRLF and CR line ends into LF.
+    """
+    block: list[tuple[int, str]] = []
+    with Path(path).open("r", encoding="utf-8-sig") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\n")
+            if line.strip():
+                block.append((lineno, line))
+            elif block:
+                yield block
+                block = []
+    if block:
+        yield block
+
+
+def _sentence(path, line: int, tokens: list[str], schema: Schema, **columns) -> LabeledSentence:
+    """Build a sentence; a validation failure is a format error at ``line``."""
+    try:
+        return LabeledSentence(tokens, schema, **columns)
+    except ValidationError as exc:
+        raise DataFormatError(str(exc), path=path, line=line) from exc
+
+
 def _read_two_col(path, schema: Schema, token_col: int, label_col: int) -> LabeledCorpus:
     path = Path(path)
     need = max(token_col, label_col) + 1
     sentences: list[LabeledSentence] = []
-    rows: list[list[str]] = []
-    start_line = 0
     ncols: int | None = None
-
-    def flush():
-        if not rows:
-            return
-        tokens = [r[token_col] for r in rows]
-        labels = [r[label_col] for r in rows]
-        try:
-            sent = LabeledSentence(
-                tokens, schema, labels=labels,
-                passthrough=TwoColRows(token_col, label_col, [r.copy() for r in rows]),
-            )
-        except ValidationError as exc:
-            raise DataFormatError(str(exc), path=path, line=start_line) from exc
-        sentences.append(sent)
-        rows.clear()
-
-    with path.open("r", encoding="utf-8-sig") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip():
-                flush()
-                continue
+    for block in _blocks(path):
+        rows: list[list[str]] = []
+        for lineno, line in block:
             fields = line.split("\t")
             if ncols is None:
                 ncols = len(fields)
@@ -218,74 +232,33 @@ def _read_two_col(path, schema: Schema, token_col: int, label_col: int) -> Label
                 )
             if not fields[token_col] or not fields[label_col]:
                 raise DataFormatError("empty token or label field", path=path, line=lineno)
-            if not rows:
-                start_line = lineno
             rows.append(fields)
-    flush()
+        sentences.append(_sentence(
+            path, block[0][0], [r[token_col] for r in rows], schema,
+            labels=[r[label_col] for r in rows],
+            passthrough=TwoColRows(token_col, label_col, rows),
+        ))
     return LabeledCorpus(schema, sentences)
 
 
 _CONLLU_NCOLS = 10
 
 
-def _conllu_id_kind(id_field: str) -> str:
-    if id_field.isdigit():
-        return "word"
-    head, sep, tail = id_field.partition("-")
-    if sep and head.isdigit() and tail.isdigit():
-        return "range"
-    head, sep, tail = id_field.partition(".")
-    if sep and head.isdigit() and tail.isdigit():
-        return "empty"
-    return "bad"
+def _is_range_or_empty_id(id_field: str) -> bool:
+    """True for a multiword-token range ID (``1-2``) or an empty-node ID (``1.1``)."""
+    return any(
+        head.isdigit() and tail.isdigit()
+        for head, _, tail in (id_field.partition("-"), id_field.partition("."))
+    )
 
 
 def _read_conllu(path, schema: Schema) -> LabeledCorpus:
     path = Path(path)
     sentences: list[LabeledSentence] = []
-    rows: list[tuple[str, object]] = []
-    word_lines: list[int] = []
-
-    def flush():
-        if not rows:
-            return
-        if not word_lines:
-            raise DataFormatError("sentence block has no word lines", path=path, line=lineno)
-        word_rows = [payload for kind, payload in rows if kind == "word"]
-        tokens = [cols[1] for cols in word_rows]
-        labels = [cols[3] for cols in word_rows]
-        deprels = [cols[7] for cols in word_rows]
-        heads = []
-        if schema is Schema.DEP:
-            for ln, cols in zip(word_lines, word_rows):
-                try:
-                    heads.append(int(cols[6]))
-                except ValueError:
-                    raise DataFormatError(
-                        f"non-integer HEAD {cols[6]!r}", path=path, line=ln
-                    ) from None
-        try:
-            sent = LabeledSentence(
-                tokens,
-                schema,
-                labels=labels if schema is Schema.POS else None,
-                heads=heads if schema is Schema.DEP else None,
-                deprels=deprels if schema is Schema.DEP else None,
-                passthrough=ConlluRows(rows.copy()),
-            )
-        except ValidationError as exc:
-            raise DataFormatError(str(exc), path=path, line=word_lines[0]) from exc
-        sentences.append(sent)
-        rows.clear()
-        word_lines.clear()
-
-    lineno = 0
-    with path.open("r", encoding="utf-8-sig") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip():
-                flush()
-                continue
+    for block in _blocks(path):
+        rows: list[tuple[str, object]] = []
+        words: list[tuple[int, list[str]]] = []
+        for lineno, line in block:
             if line.startswith("#"):
                 rows.append(("raw", line))
                 continue
@@ -295,15 +268,31 @@ def _read_conllu(path, schema: Schema) -> LabeledCorpus:
                     f"expected {_CONLLU_NCOLS} columns, got {len(cols)}",
                     path=path, line=lineno,
                 )
-            kind = _conllu_id_kind(cols[0])
-            if kind == "bad":
-                raise DataFormatError(f"bad ID field {cols[0]!r}", path=path, line=lineno)
-            if kind == "word":
+            if cols[0].isdigit():
                 rows.append(("word", cols))
-                word_lines.append(lineno)
-            else:
+                words.append((lineno, cols))
+            elif _is_range_or_empty_id(cols[0]):
                 rows.append(("raw", line))
-    flush()
+            else:
+                raise DataFormatError(f"bad ID field {cols[0]!r}", path=path, line=lineno)
+        if not words:
+            raise DataFormatError("sentence block has no word lines", path=path, line=block[0][0])
+        if schema is Schema.POS:
+            columns = {"labels": [cols[3] for _, cols in words]}
+        else:
+            heads = []
+            for lineno, cols in words:
+                try:
+                    heads.append(int(cols[6]))
+                except ValueError:
+                    raise DataFormatError(
+                        f"non-integer HEAD {cols[6]!r}", path=path, line=lineno
+                    ) from None
+            columns = {"heads": heads, "deprels": [cols[7] for _, cols in words]}
+        sentences.append(_sentence(
+            path, words[0][0], [cols[1] for _, cols in words], schema,
+            passthrough=ConlluRows(rows), **columns,
+        ))
     return LabeledCorpus(schema, sentences)
 
 
@@ -322,16 +311,15 @@ def write_labeled(corpus: LabeledCorpus, path, format: Format = Format.TWO_COL) 
 def _write_two_col(corpus: LabeledCorpus, path) -> None:
     blocks = []
     for sent in corpus.sentences:
-        pt = sent.passthrough if isinstance(sent.passthrough, TwoColRows) else None
+        pt = sent.passthrough
+        if not isinstance(pt, TwoColRows):
+            pt = TwoColRows(0, 1, [list(row) for row in zip(sent.tokens, sent.labels)])
         lines = []
         for i, token in enumerate(sent.tokens):
-            if pt is not None:
-                fields = pt.rows[i].copy()
-                fields[pt.token_col] = token
-                fields[pt.label_col] = sent.labels[i]
-                lines.append("\t".join(fields))
-            else:
-                lines.append(f"{token}\t{sent.labels[i]}")
+            fields = pt.rows[i].copy()
+            fields[pt.token_col] = token
+            fields[pt.label_col] = sent.labels[i]
+            lines.append("\t".join(fields))
         blocks.append("\n".join(lines))
     with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n\n".join(blocks))
@@ -342,31 +330,25 @@ def _write_two_col(corpus: LabeledCorpus, path) -> None:
 def _write_conllu(corpus: LabeledCorpus, path) -> None:
     with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
         for sent in corpus.sentences:
-            pt = sent.passthrough if isinstance(sent.passthrough, ConlluRows) else None
-            if pt is not None:
-                i = 0
-                for kind, payload in pt.rows:
-                    if kind == "raw":
-                        fh.write(payload + "\n")
-                        continue
-                    cols = list(payload)
-                    cols[1] = sent.tokens[i]
-                    if corpus.schema is Schema.POS:
-                        cols[3] = sent.labels[i]
-                    else:
-                        cols[6] = str(sent.heads[i])
-                        cols[7] = sent.deprels[i]
-                    fh.write("\t".join(cols) + "\n")
-                    i += 1
+            if isinstance(sent.passthrough, ConlluRows):
+                rows = sent.passthrough.rows
             else:
-                for i, token in enumerate(sent.tokens):
-                    cols = [str(i + 1), token, "_", "_", "_", "_", "_", "_", "_", "_"]
-                    if corpus.schema is Schema.POS:
-                        cols[3] = sent.labels[i]
-                    else:
-                        cols[6] = str(sent.heads[i])
-                        cols[7] = sent.deprels[i]
-                    fh.write("\t".join(cols) + "\n")
+                rows = [("word", [str(i), token] + ["_"] * 8)
+                        for i, token in enumerate(sent.tokens, start=1)]
+            i = 0
+            for kind, payload in rows:
+                if kind == "raw":
+                    fh.write(payload + "\n")
+                    continue
+                cols = list(payload)
+                cols[1] = sent.tokens[i]
+                if corpus.schema is Schema.POS:
+                    cols[3] = sent.labels[i]
+                else:
+                    cols[6] = str(sent.heads[i])
+                    cols[7] = sent.deprels[i]
+                fh.write("\t".join(cols) + "\n")
+                i += 1
             fh.write("\n")
 
 

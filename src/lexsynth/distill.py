@@ -7,7 +7,7 @@ synthesis, so labels can be swapped in with positional integrity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .corpus_io import LabeledCorpus, LabeledSentence, Schema
 from .errors import ValidationError
@@ -56,16 +56,7 @@ def apply_teacher_labels(
         changed += sum(
             1 for i in range(len(p.tokens)) if _position_label(p, i) != _position_label(t, i)
         )
-        sentences.append(
-            LabeledSentence(
-                p.tokens,
-                p.schema,
-                labels=t.labels,
-                heads=t.heads,
-                deprels=t.deprels,
-                passthrough=p.passthrough,
-            )
-        )
+        sentences.append(replace(p, labels=t.labels, heads=t.heads, deprels=t.deprels))
     return LabeledCorpus(pseudo.schema, sentences), changed
 
 

@@ -140,7 +140,7 @@ def load_lexicon(path, mode: LoadMode = LoadMode.ALLOW_MULTI_TOKEN) -> tuple[Lex
     dropped = 0
     with path.open("r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
+            line = raw.rstrip("\n")
             if not line.strip():
                 continue
             if line.startswith("#") and "\t" not in line:

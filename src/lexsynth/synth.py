@@ -39,12 +39,12 @@ core (``_synthesize``):
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 
 import numpy as np
 
-from .corpus_io import LabeledCorpus, LabeledSentence, TokenizedCorpus
+from .corpus_io import LabeledCorpus, TokenizedCorpus
 from .errors import ValidationError
 from .lexicon import Lexicon
 
@@ -244,17 +244,7 @@ def synth_labeled(
             )
 
     tokens, report = _synthesize([s.tokens for s in corpus.sentences], lex, cfg)
-    out = [
-        LabeledSentence(
-            toks,
-            sent.schema,
-            labels=sent.labels,
-            heads=sent.heads,
-            deprels=sent.deprels,
-            passthrough=sent.passthrough,
-        )
-        for toks, sent in zip(tokens, corpus.sentences)
-    ]
+    out = [replace(sent, tokens=toks) for toks, sent in zip(tokens, corpus.sentences)]
     return LabeledCorpus(corpus.schema, out), report
 
 

@@ -20,6 +20,7 @@ from lexsynth.corpus_io import (
     write_parallel,
 )
 from lexsynth.errors import DataFormatError, ValidationError
+from lexsynth.lexicon import load_lexicon
 
 
 def write(tmp_path, text, name):
@@ -120,6 +121,8 @@ CONLLU = """# sent_id = 1
 3\tit\tit\tPRON\tPRP\t_\t2\tobj\t_\t_
 
 """
+
+WORD = "1\tWe\twe\tPRON\tPRP\t_\t0\troot\t_\t_\n"
 
 
 class TestTwoColumn:
@@ -245,8 +248,41 @@ class TestConllu:
 
     def test_comment_only_block_rejected(self, tmp_path):
         path = write(tmp_path, "# only a comment\n\n", "x.conllu")
-        with pytest.raises(DataFormatError, match="no word lines"):
+        with pytest.raises(DataFormatError, match="no word lines") as exc:
             read_labeled(path, Schema.POS, Format.CONLLU)
+        assert exc.value.line == 1
+
+    @pytest.mark.parametrize("text, line", [
+        ("# a\n# b\n", 1),
+        (WORD + "\n# c\n# d\n\n", 3),
+    ], ids=["at-end-of-file", "second-block"])
+    def test_no_word_lines_names_the_blocks_first_line(self, tmp_path, text, line):
+        path = write(tmp_path, text, "x.conllu")
+        with pytest.raises(DataFormatError, match="no word lines") as exc:
+            read_labeled(path, Schema.POS, Format.CONLLU)
+        assert exc.value.line == line
+
+    @pytest.mark.parametrize("id_field", ["1-2", "10-12", "1.1", "0.1"])
+    def test_range_and_empty_node_ids_pass_through(self, tmp_path, id_field):
+        line = id_field + "\tx" + "\t_" * 8
+        path = write(tmp_path, WORD + line + "\n", "x.conllu")
+        sent = read_labeled(path, Schema.POS, Format.CONLLU).sentences[0]
+        assert sent.tokens == ["We"]
+        assert sent.passthrough.rows[1] == ("raw", line)
+
+    @pytest.mark.parametrize(
+        "id_field", ["1-2-3", "1.2.3", "1-2.3", "1.2-3", "-1", "1-", ".1", "1.", "a", ""])
+    def test_other_ids_rejected(self, tmp_path, id_field):
+        path = write(tmp_path, WORD + id_field + "\tx" + "\t_" * 8 + "\n", "x.conllu")
+        with pytest.raises(DataFormatError, match="line 2: bad ID field"):
+            read_labeled(path, Schema.POS, Format.CONLLU)
+
+    def test_whitespace_only_line_separates_sentences(self, tmp_path):
+        path = write(tmp_path, CONLLU.rstrip("\n") + "\n \t\n" + CONLLU, "x.conllu")
+        again = write(tmp_path, CONLLU + CONLLU, "y.conllu")
+        corpus = read_labeled(path, Schema.DEP, Format.CONLLU)
+        assert len(corpus) == 2
+        assert corpus == read_labeled(again, Schema.DEP, Format.CONLLU)
 
 
 class TestValidation:
@@ -290,6 +326,34 @@ def test_sniff_format_hash_line_with_a_tab_is_not_a_comment(tmp_path):
     ten_columns = "#\t" + "\t".join("_" * 9) + "\n"
     assert sniff_format(write(tmp_path, ten_columns, "b.conllu")) is Format.CONLLU
     assert sniff_format(write(tmp_path, "# comment\nI\tPRON\n", "c.conllu")) is Format.CONLLU
+
+
+@pytest.mark.parametrize("eol", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_line_ends_read_alike(tmp_path, eol):
+    """CRLF and CR-only line ends read exactly as LF does."""
+
+    def read_both(read, *texts):
+        lf = [write(tmp_path, text, f"lf{i}") for i, text in enumerate(texts)]
+        other = []
+        for i, text in enumerate(texts):
+            path = tmp_path / f"other{i}"
+            path.write_bytes(text.replace("\n", eol).encode("utf-8"))
+            other.append(path)
+        return read(*lf), read(*other)
+
+    two_col = "foo\tNN\tB-ORG\n \nbar\tVB\tO\n\nbaz\tNN\tO\n"
+    cases = [
+        (read_mono, "a b\n\n  \nc\n"),
+        (read_parallel, "a\n\nc\n", "x\ny\nz\n"),
+        (lambda p: read_labeled(p, Schema.NER, label_col=2), two_col),
+        (lambda p: read_labeled(p, Schema.DEP, Format.CONLLU), CONLLU + CONLLU),
+        (sniff_format, two_col),
+        (sniff_format, CONLLU),
+        (load_lexicon, "# src_lang: en\nthe\til\n\n#1\tx\nbig house\tdar\n"),
+    ]
+    for read, *texts in cases:
+        lf, other = read_both(read, *texts)
+        assert other == lf
 
 
 # Round trips over arbitrary Unicode tokens (see conftest.TOKENS and FIELDS
