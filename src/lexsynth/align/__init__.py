@@ -4,6 +4,7 @@ from .induce import induce_lexicon, symmetrize, write_alignments
 from .model1 import (
     NULL_WORD,
     AlignerConfig,
+    Alignments,
     SentenceAlignment,
     Symmetrization,
     TranslationTable,
@@ -15,6 +16,7 @@ from .model1 import (
 __all__ = [
     "NULL_WORD",
     "AlignerConfig",
+    "Alignments",
     "SentenceAlignment",
     "Symmetrization",
     "TranslationTable",

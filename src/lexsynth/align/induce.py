@@ -1,22 +1,36 @@
-"""Alignment symmetrization and lexicon induction from link counts."""
+"""Alignment symmetrization and lexicon induction from link counts.
+
+Each function takes a sequence of ``SentenceAlignment`` or an
+``Alignments`` and works on its sorted link keys as arrays: intersection is
+key membership, induction counts pair ids made from interned token ids, and
+the writer formats each distinct ``i-j`` once.
+"""
 
 from __future__ import annotations
 
 import unicodedata
-from collections import Counter
 from pathlib import Path
+
+import numpy as np
 
 from ..corpus_io import ParallelCorpus
 from ..errors import ValidationError
 from ..lexicon import Lexicon, Provenance
-from .model1 import AlignerConfig, SentenceAlignment, Symmetrization
+from .model1 import (
+    AlignerConfig,
+    Alignments,
+    SentenceAlignment,
+    Symmetrization,
+    _offsets,
+    _token_ids,
+)
 
 
 def symmetrize(
-    forward: list[SentenceAlignment],
-    backward: list[SentenceAlignment],
+    forward: Alignments | list[SentenceAlignment],
+    backward: Alignments | list[SentenceAlignment],
     method: Symmetrization = Symmetrization.INTERSECTION,
-) -> list[SentenceAlignment]:
+) -> Alignments:
     """Combine directional alignments; output is in the forward orientation.
 
     Intersection keeps (i, j) iff the forward side links (i, j) and the
@@ -26,21 +40,23 @@ def symmetrize(
         raise ValidationError(
             f"alignment count mismatch: {len(forward)} forward vs {len(backward)} backward"
         )
+    fwd = Alignments.of(forward)
     if method is Symmetrization.FORWARD:
-        return list(forward)
-    out: list[SentenceAlignment] = []
-    for n, (fwd, bwd) in enumerate(zip(forward, backward)):
-        if fwd.src_len != bwd.tgt_len or fwd.tgt_len != bwd.src_len:
-            raise ValidationError(
-                f"sentence {n}: forward is {fwd.src_len}x{fwd.tgt_len} but "
-                f"backward is {bwd.src_len}x{bwd.tgt_len}"
-            )
-        if method is Symmetrization.BACKWARD:
-            links = frozenset((i, j) for j, i in bwd.links)
-        else:
-            links = frozenset(link for link in fwd.links if (link[1], link[0]) in bwd.links)
-        out.append(SentenceAlignment(links, src_len=fwd.src_len, tgt_len=fwd.tgt_len))
-    return out
+        return fwd
+    bwd = Alignments.of(backward)
+    bad = np.flatnonzero((fwd.src_lens != bwd.tgt_lens) | (fwd.tgt_lens != bwd.src_lens))
+    if len(bad):
+        n = bad[0]
+        raise ValidationError(
+            f"sentence {n}: forward is {fwd.src_lens[n]}x{fwd.tgt_lens[n]} but "
+            f"backward is {bwd.src_lens[n]}x{bwd.tgt_lens[n]}"
+        )
+    sent, i, j = bwd.links()
+    flipped = Alignments.from_links(fwd.src_lens, fwd.tgt_lens, sent, j, i)
+    if method is Symmetrization.BACKWARD:
+        return flipped
+    kept = np.isin(fwd.keys, flipped.keys, assume_unique=True)
+    return Alignments(fwd.src_lens, fwd.tgt_lens, fwd.keys[kept])
 
 
 def _is_punct(word: str) -> bool:
@@ -49,7 +65,7 @@ def _is_punct(word: str) -> bool:
 
 def induce_lexicon(
     corpus: ParallelCorpus,
-    alignments: list[SentenceAlignment],
+    alignments: Alignments | list[SentenceAlignment],
     cfg: AlignerConfig = AlignerConfig(),
 ) -> Lexicon:
     """Turn repeatedly-aligned word pairs into lexicon entries.
@@ -59,37 +75,55 @@ def induce_lexicon(
     descending count then lexicographically. Pairs where either side is a
     lone punctuation character are dropped unless cfg.keep_punct.
     """
+    alignments = Alignments.of(alignments)
     if len(alignments) != len(corpus):
         raise ValidationError(
             f"{len(alignments)} alignments for {len(corpus)} sentence pairs"
         )
-    counts: Counter[tuple[str, str]] = Counter()
-    for n, ((src, tgt), alignment) in enumerate(zip(corpus, alignments)):
-        for i, j in alignment.links:
-            if i >= len(src) or j >= len(tgt):
-                raise ValidationError(
-                    f"sentence {n}: link ({i},{j}) out of range for "
-                    f"{len(src)}x{len(tgt)} pair"
-                )
-            s, t = src[i], tgt[j]
-            if cfg.case_fold:
-                s, t = s.casefold(), t.casefold()
-            counts[(s, t)] += 1
-    kept = [
-        (pair, count)
-        for pair, count in counts.items()
-        if count >= cfg.min_count
-        and (cfg.keep_punct or not (_is_punct(pair[0]) or _is_punct(pair[1])))
-    ]
-    kept.sort(key=lambda item: (-item[1], item[0]))
+    fold = str.casefold if cfg.case_fold else str
+    src_types: dict[str, int] = {}
+    tgt_types: dict[str, int] = {}
+    src_lens, src_flat = _token_ids(
+        [s for s, _ in corpus], lambda w: src_types.setdefault(fold(w), len(src_types)))
+    tgt_lens, tgt_flat = _token_ids(
+        [t for _, t in corpus], lambda w: tgt_types.setdefault(fold(w), len(tgt_types)))
+    sent, i, j = alignments.links()
+    bad = np.flatnonzero((i >= src_lens[sent]) | (j >= tgt_lens[sent]))
+    if len(bad):
+        b = bad[0]
+        n = sent[b]
+        raise ValidationError(
+            f"sentence {n}: link ({i[b]},{j[b]}) out of range for "
+            f"{src_lens[n]}x{tgt_lens[n]} pair"
+        )
+    n_tgt = len(tgt_types)
+    pair_ids = (src_flat[_offsets(src_lens)[sent] + i] * n_tgt
+                + tgt_flat[_offsets(tgt_lens)[sent] + j])
+    pair_ids, counts = np.unique(pair_ids, return_counts=True)
+    keep = counts >= cfg.min_count
+    src_words, tgt_words = list(src_types), list(tgt_types)
+    e_ids, f_ids = np.divmod(pair_ids[keep], n_tgt)
+    kept = []
+    for count, e, f in zip(counts[keep].tolist(), e_ids.tolist(), f_ids.tolist()):
+        s, t = src_words[e], tgt_words[f]
+        if cfg.keep_punct or not (_is_punct(s) or _is_punct(t)):
+            kept.append((-count, s, t))
+    kept.sort()
     lex = Lexicon()
-    for (s, t), _ in kept:
+    for _, s, t in kept:
         lex.add(s, t, Provenance.INDUCED)
     return lex
 
 
-def write_alignments(alignments: list[SentenceAlignment], path) -> None:
-    """One sentence per line in the conventional space-separated i-j format."""
+def write_alignments(alignments: Alignments | list[SentenceAlignment], path) -> None:
+    """One sentence per line in the conventional space-separated i-j format,
+    links in (i, j) order."""
+    alignments = Alignments.of(alignments)
+    sent, i, j = alignments.links()
+    width = int(j.max(initial=-1)) + 1
+    codes, inverse = np.unique(i * width + j, return_inverse=True)
+    names = np.array([f"{c // width}-{c % width}" for c in codes.tolist()], dtype=object)
+    text = names[inverse].tolist()
+    ptr = _offsets(np.bincount(sent, minlength=len(alignments))).tolist()
     with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        for alignment in alignments:
-            fh.write(" ".join(f"{i}-{j}" for i, j in sorted(alignment.links)) + "\n")
+        fh.writelines(" ".join(text[lo:hi]) + "\n" for lo, hi in zip(ptr, ptr[1:]))

@@ -38,12 +38,20 @@ segmented argmax per chunk replaces any per-sentence loop: NULL's slot is
 masked, ``np.maximum.reduceat`` gives each group's best probability, the
 first slot holding it is the best source token (ties go to the lowest
 index), and the token links iff that probability is at least NULL's.
+
+The links come back as ``Alignments``: the sentence shapes and one sorted
+int64 key per link, ``base[sentence] + i * tgt_len + j``, made from each
+linked group's sentence, source index and target index and sorted once.
+Symmetrization, induction and the alignment writer (``induce.py``) work on
+those keys; per-sentence ``SentenceAlignment`` views are built only on
+indexing or iteration.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -99,6 +107,71 @@ class SentenceAlignment:
                 raise ValidationError(
                     f"link ({i},{j}) outside sentence of size {self.src_len}x{self.tgt_len}"
                 )
+
+
+class Alignments(Sequence):
+    """Every sentence's links, as one sorted int64 key array.
+
+    Sentence k is ``src_lens[k]`` x ``tgt_lens[k]``; its link (i, j) has the
+    key ``base[k] + i * tgt_lens[k] + j`` with ``base = _offsets(src_lens *
+    tgt_lens)``, so key order is (sentence, i, j) order and an empty
+    sentence takes no key space. Indexing or iterating builds validated
+    ``SentenceAlignment`` views.
+    """
+
+    def __init__(self, src_lens: np.ndarray, tgt_lens: np.ndarray, keys: np.ndarray):
+        self.src_lens = src_lens
+        self.tgt_lens = tgt_lens
+        self.keys = keys
+        self._base = _offsets(src_lens * tgt_lens)
+
+    @classmethod
+    def from_links(cls, src_lens, tgt_lens, sent, i, j) -> Alignments:
+        """The alignments holding each link (sent[n], i[n], j[n]); the links
+        must be distinct."""
+        keys = _offsets(src_lens * tgt_lens)[sent] + i * tgt_lens[sent] + j
+        keys.sort()
+        return cls(src_lens, tgt_lens, keys)
+
+    @classmethod
+    def of(cls, alignments) -> Alignments:
+        """``alignments`` itself if it is an ``Alignments``, else its
+        ``SentenceAlignment`` items gathered into one."""
+        if isinstance(alignments, cls):
+            return alignments
+        alignments = list(alignments)
+        n = len(alignments)
+        src_lens = np.fromiter((a.src_len for a in alignments), dtype=np.int64, count=n)
+        tgt_lens = np.fromiter((a.tgt_len for a in alignments), dtype=np.int64, count=n)
+        counts = np.fromiter((len(a.links) for a in alignments), dtype=np.int64, count=n)
+        links = np.array([link for a in alignments for link in a.links],
+                         dtype=np.int64).reshape(-1, 2)
+        sent = np.repeat(np.arange(n), counts)
+        return cls.from_links(src_lens, tgt_lens, sent, links[:, 0], links[:, 1])
+
+    def links(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The sentence, i and j of every link, in key order."""
+        sent = np.repeat(np.arange(len(self)), np.diff(np.searchsorted(self.keys, self._base)))
+        i, j = np.divmod(self.keys - self._base[sent], self.tgt_lens[sent])
+        return sent, i, j
+
+    def __len__(self) -> int:
+        return len(self.src_lens)
+
+    def __getitem__(self, k) -> SentenceAlignment:
+        k = range(len(self))[k]  # negative indexes; IndexError past the end
+        lo, hi = np.searchsorted(self.keys, self._base[k:k + 2])
+        [view] = Alignments(self.src_lens[k:k + 1], self.tgt_lens[k:k + 1],
+                            self.keys[lo:hi] - self._base[k])
+        return view
+
+    def __iter__(self):
+        _, i, j = self.links()
+        pairs = list(zip(i.tolist(), j.tolist()))
+        ptr = np.searchsorted(self.keys, self._base).tolist()
+        for lo, hi, src_len, tgt_len in zip(ptr, ptr[1:], self.src_lens.tolist(),
+                                            self.tgt_lens.tolist()):
+            yield SentenceAlignment(frozenset(pairs[lo:hi]), src_len=src_len, tgt_len=tgt_len)
 
 
 class _TrainedLayout(NamedTuple):
@@ -335,7 +408,7 @@ def train_model1(corpus: ParallelCorpus, cfg: AlignerConfig = AlignerConfig()) -
     )
 
 
-def viterbi_align(corpus: ParallelCorpus, table: TranslationTable) -> list[SentenceAlignment]:
+def viterbi_align(corpus: ParallelCorpus, table: TranslationTable) -> Alignments:
     """Hard-align each target token to its most probable source token.
 
     A NULL win leaves the target token unlinked; ties go to the lowest source
@@ -377,17 +450,11 @@ def viterbi_align(corpus: ParallelCorpus, table: TranslationTable) -> list[Sente
         linked_parts.append(linked + group_lo)
         group_lo += len(starts)
     linked = np.concatenate(linked_parts)
-    link_i = np.concatenate(link_i_parts).tolist()
+    link_i = np.concatenate(link_i_parts)
 
     sent_groups = _offsets(tgt_lens)
     sent = np.searchsorted(sent_groups, linked, side="right") - 1
-    link_j = (linked - sent_groups[sent]).tolist()
-    link_ptr = np.searchsorted(linked, sent_groups).tolist()
-    return [
-        SentenceAlignment(frozenset(zip(link_i[lo:hi], link_j[lo:hi])),
-                          src_len=len(s), tgt_len=len(t))
-        for (s, t), lo, hi in zip(corpus, link_ptr, link_ptr[1:])
-    ]
+    return Alignments.from_links(src_lens, tgt_lens, sent, link_i, linked - sent_groups[sent])
 
 
 def swap_corpus(corpus: ParallelCorpus) -> ParallelCorpus:

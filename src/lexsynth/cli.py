@@ -23,9 +23,12 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, corpus_io, mix, synth
 from .align import (
     AlignerConfig,
+    Alignments,
     Symmetrization,
     induce_lexicon,
     swap_corpus,
@@ -186,7 +189,12 @@ def _cmd_lex_induce(args) -> int:
     out = _Outputs()
     out.add(args.out, lambda p: save_lexicon(lex, p))
     if args.dump_alignments:
-        out.add(args.dump_alignments, lambda p: write_alignments(combined, p))
+        # One line per input line: a dropped pair is an empty sentence, which
+        # takes no key space, so the links' keys stay as they are.
+        pos = np.array(corpus.dropped, dtype=np.int64) - np.arange(len(corpus.dropped))
+        dumped = Alignments(np.insert(combined.src_lens, pos, 0),
+                            np.insert(combined.tgt_lens, pos, 0), combined.keys)
+        out.add(args.dump_alignments, lambda p: write_alignments(dumped, p))
     out.commit()
     logger.info(
         "induced %d entries (final log-likelihoods: fwd %.4f, bwd %.4f)",

@@ -130,13 +130,21 @@ def write_mono(corpus: TokenizedCorpus, path) -> None:
             fh.write(" ".join(sentence) + "\n")
 
 
-def read_parallel(src_path, tgt_path) -> ParallelCorpus:
+class ParallelPairs(list):
+    """The pairs ``read_parallel`` kept; ``dropped`` holds the 0-based input
+    line numbers of the pairs it skipped."""
+
+    dropped: tuple[int, ...] = ()
+
+
+def read_parallel(src_path, tgt_path) -> ParallelPairs:
     """Pair line i of the source file with line i of the target file.
 
     Line counts must match exactly; pairs where either side is blank are
-    dropped with a counted warning. Lines are split as ``read_mono`` splits
-    them, at ``\n``, ``\r\n`` or ``\r`` only: a U+2028 or form feed inside
-    a line does not end it.
+    dropped with a counted warning, and their line numbers are kept in the
+    result's ``dropped``. Lines are split as ``read_mono`` splits them, at
+    ``\n``, ``\r\n`` or ``\r`` only: a U+2028 or form feed inside a line
+    does not end it.
     """
     with Path(src_path).open("r", encoding="utf-8-sig") as fh:
         src_lines = list(fh)
@@ -147,16 +155,17 @@ def read_parallel(src_path, tgt_path) -> ParallelCorpus:
             f"parallel line count mismatch: {src_path} has {len(src_lines)} lines, "
             f"{tgt_path} has {len(tgt_lines)} lines"
         )
-    pairs: ParallelCorpus = []
-    dropped = 0
-    for src, tgt in zip(src_lines, tgt_lines):
+    pairs = ParallelPairs()
+    dropped = []
+    for n, (src, tgt) in enumerate(zip(src_lines, tgt_lines)):
         s, t = src.split(), tgt.split()
         if not s or not t:
-            dropped += 1
+            dropped.append(n)
             continue
         pairs.append((s, t))
+    pairs.dropped = tuple(dropped)
     if dropped:
-        logger.warning("dropped %d parallel pair(s) with a blank side", dropped)
+        logger.warning("dropped %d parallel pair(s) with a blank side", len(dropped))
     return pairs
 
 

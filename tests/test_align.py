@@ -3,12 +3,16 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import link_oracle
 from conftest import verse_corpus
 from em_oracle import NULL, brute_force_model1, brute_force_viterbi
 from lexsynth.align import (
     NULL_WORD,
     AlignerConfig,
+    Alignments,
     SentenceAlignment,
     Symmetrization,
     induce_lexicon,
@@ -21,7 +25,7 @@ from lexsynth.align import (
 from lexsynth.align import model1
 from lexsynth.align.model1 import TranslationTable, _chunk_layouts
 from lexsynth.errors import ValidationError
-from lexsynth.lexicon import Provenance
+from lexsynth.lexicon import Lexicon, Provenance
 
 DISAMBIGUATION = [
     (["the", "house"], ["das", "haus"]),
@@ -211,7 +215,7 @@ class TestViterbi:
 
     def test_empty_sides_have_no_links(self):
         table = make_table({NULL_WORD: {"x": 0.5}, "a": {"x": 0.5}}, ["x"])
-        assert viterbi_align([], table) == []
+        assert len(viterbi_align([], table)) == 0
         alignments = viterbi_align([([], ["x"]), (["a"], [])], table)
         assert [(a.links, a.src_len, a.tgt_len) for a in alignments] == [
             (frozenset(), 0, 1), (frozenset(), 1, 0),
@@ -487,3 +491,108 @@ def test_write_alignments_format(tmp_path):
     path = tmp_path / "al.txt"
     write_alignments(alignments, path)
     assert path.read_text(encoding="utf-8") == "0-1 1-0\n\n"
+
+
+# case variants ("ß" and "SS" both fold to "ss") and lone punctuation
+WORDS = ["a", "A", "b", "ß", "SS", ",", "."]
+
+
+@st.composite
+def aligned_corpora(draw):
+    """A corpus with forward and backward links per sentence; sides may be
+    empty, so some sentences are 0 x n or n x 0."""
+    corpus, forward, backward = [], [], []
+    for _ in range(draw(st.integers(0, 6))):
+        src = draw(st.lists(st.sampled_from(WORDS), max_size=3))
+        tgt = draw(st.lists(st.sampled_from(WORDS), max_size=3))
+        cells = [(i, j) for i in range(len(src)) for j in range(len(tgt))]
+        links = st.sets(st.sampled_from(cells)) if cells else st.just(set())
+        corpus.append((src, tgt))
+        forward.append((draw(links), len(src), len(tgt)))
+        backward.append(({(j, i) for i, j in draw(links)}, len(tgt), len(src)))
+    return corpus, forward, backward
+
+
+def sentence_alignments(triples):
+    return [SentenceAlignment(frozenset(links), s, t) for links, s, t in triples]
+
+
+@given(aligned_corpora(), st.sampled_from(list(Symmetrization)), st.integers(1, 3),
+       st.booleans(), st.booleans(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_columnar_links_match_the_link_oracle(tmp_path_factory, data, method, min_count,
+                                              case_fold, keep_punct, columnar):
+    corpus, forward, backward = data
+    fwd, bwd = sentence_alignments(forward), sentence_alignments(backward)
+    if columnar:
+        fwd, bwd = Alignments.of(fwd), Alignments.of(bwd)
+    combined = symmetrize(fwd, bwd, method)
+    want = link_oracle.symmetrize(forward, backward, method.value)
+    assert [(a.links, a.src_len, a.tgt_len) for a in combined] == want
+    links = [links for links, _, _ in want]
+
+    given_links = combined if columnar else list(combined)
+    cfg = AlignerConfig(min_count=min_count, case_fold=case_fold, keep_punct=keep_punct)
+    lex = induce_lexicon(corpus, given_links, cfg)
+    want_lex = Lexicon()
+    for s, t in link_oracle.induce_pairs(corpus, links, min_count, case_fold, keep_punct):
+        want_lex.add(s, t, Provenance.INDUCED)
+    assert list(lex.iter_entries()) == list(want_lex.iter_entries())
+
+    path = tmp_path_factory.mktemp("al") / "al.txt"
+    write_alignments(given_links, path)
+    assert path.read_text(encoding="utf-8") == link_oracle.alignment_text(links)
+
+
+class TestAlignments:
+    VIEWS = [
+        SentenceAlignment(frozenset({(0, 1), (1, 0)}), 2, 2),
+        SentenceAlignment(frozenset(), 0, 3),
+        SentenceAlignment(frozenset({(2, 0)}), 3, 1),
+        SentenceAlignment(frozenset(), 2, 0),
+        SentenceAlignment(frozenset({(0, 0), (0, 2)}), 1, 3),
+    ]
+
+    def test_of_round_trips(self):
+        al = Alignments.of(self.VIEWS)
+        assert Alignments.of(al) is al
+        assert len(al) == 5
+        assert list(al) == self.VIEWS
+        assert [al[k] for k in range(5)] == self.VIEWS
+        sent, i, j = al.links()
+        assert list(zip(sent.tolist(), i.tolist(), j.tolist())) == [
+            (0, 0, 1), (0, 1, 0), (2, 2, 0), (4, 0, 0), (4, 0, 2),
+        ]
+        assert len(Alignments.of([])) == 0
+
+    def test_negative_and_past_the_end_indexes(self):
+        al = Alignments.of(self.VIEWS)
+        assert al[-1] == self.VIEWS[-1]
+        assert al[-5] == self.VIEWS[0]
+        for k in (5, -6):
+            with pytest.raises(IndexError):
+                al[k]
+
+    def test_symmetrize_messages_name_the_first_mismatch(self):
+        fwd = [SentenceAlignment(frozenset(), 3, 4)] * 3
+        bwd = [SentenceAlignment(frozenset(), 4, 3), SentenceAlignment(frozenset(), 3, 4),
+               SentenceAlignment(frozenset(), 2, 2)]
+        for wrap in (list, Alignments.of):
+            with pytest.raises(ValidationError) as exc:
+                symmetrize(wrap(fwd), wrap(bwd[:2]))
+            assert str(exc.value) == "alignment count mismatch: 3 forward vs 2 backward"
+            with pytest.raises(ValidationError) as exc:
+                symmetrize(wrap(fwd), wrap(bwd))
+            assert str(exc.value) == "sentence 1: forward is 3x4 but backward is 3x4"
+
+    def test_induce_messages_name_the_first_bad_link(self):
+        corpus = [(["a", "b"], ["x"]), (["a"], ["x"])]
+        alignments = [SentenceAlignment(frozenset({(1, 0)}), 2, 1),
+                      SentenceAlignment(frozenset({(2, 0), (1, 0), (0, 0)}), 3, 1)]
+        for wrap in (list, Alignments.of):
+            with pytest.raises(ValidationError) as exc:
+                induce_lexicon(corpus, wrap(alignments))
+            assert str(exc.value) == "sentence 1: link (1,0) out of range for 1x1 pair"
+            with pytest.raises(ValidationError) as exc:
+                induce_lexicon(corpus, wrap(alignments[:1]))
+            assert str(exc.value) == "1 alignments for 2 sentence pairs"

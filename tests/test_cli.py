@@ -103,6 +103,35 @@ class TestLexCommands:
         assert "# provenance: induced" in text
         assert len(dump.read_text(encoding="utf-8").splitlines()) == 6
 
+    @pytest.mark.parametrize("dropped", [(1,), (0,), (3,), (1, 2), (0, 4)])
+    def test_induce_dump_keeps_a_line_per_input_line(self, tmp_path, dropped):
+        # a pair with a blank side is dropped; its alignment line is empty
+        src = ["the house", "the book", "a house", "the book", "a house"]
+        tgt = ["das haus", "das buch", "ein haus", "das buch", "ein haus"]
+        for n in dropped:
+            src[n] = ""
+            tgt[n] = "ein"
+
+        def induce(name, keep):
+            (tmp_path / f"{name}.src").write_text(
+                "".join(f"{src[n]}\n" for n in keep), encoding="utf-8")
+            (tmp_path / f"{name}.tgt").write_text(
+                "".join(f"{tgt[n]}\n" for n in keep), encoding="utf-8")
+            assert main(["lex", "induce", "--src", str(tmp_path / f"{name}.src"),
+                         "--tgt", str(tmp_path / f"{name}.tgt"), "--min-count", "1",
+                         "--out", str(tmp_path / f"{name}.tsv"),
+                         "--dump-alignments", str(tmp_path / f"{name}.al")]) == 0
+            return [(tmp_path / f"{name}.{ext}").read_text(encoding="utf-8")
+                    for ext in ("tsv", "al")]
+
+        lexicon, dump = induce("all", range(5))
+        kept_lexicon, kept_dump = induce("kept", [n for n in range(5) if n not in dropped])
+        lines = kept_dump.splitlines()
+        for n in dropped:
+            lines.insert(n, "")
+        assert dump == "".join(f"{line}\n" for line in lines)
+        assert lexicon == kept_lexicon
+
     def test_induce_mismatched_lengths_exit_3_with_counts(self, tmp_path, capsys):
         src = tmp_path / "src.txt"
         tgt = tmp_path / "tgt.txt"

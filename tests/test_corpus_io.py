@@ -91,6 +91,15 @@ class TestParallel:
         assert pairs == [(["a"], ["x"]), (["c"], ["z"])]
         assert "1" in caplog.text
 
+    def test_dropped_holds_the_skipped_line_numbers(self, tmp_path):
+        src = write(tmp_path, "\na\n \nc\nd\n", "s.txt")
+        tgt = write(tmp_path, "v\nx\ny\nz\n\n", "t.txt")
+        pairs = read_parallel(src, tgt)
+        assert pairs.dropped == (0, 2, 4)
+        assert pairs == [(["a"], ["x"]), (["c"], ["z"])]
+        assert len(pairs) == 2 and list(pairs) == [(["a"], ["x"]), (["c"], ["z"])]
+        assert read_parallel(tmp_path / "s.txt", tmp_path / "s.txt").dropped == (0, 2)
+
     def test_unicode_line_separators_do_not_split_lines(self, tmp_path):
         # str.splitlines() would break both sides at U+2028 and keep the
         # counts equal while shifting every later pair.
