@@ -5,6 +5,7 @@ from .model1 import (
     NULL_WORD,
     AlignerConfig,
     Alignments,
+    EncodedCorpus,
     SentenceAlignment,
     Symmetrization,
     TranslationTable,
@@ -17,6 +18,7 @@ __all__ = [
     "NULL_WORD",
     "AlignerConfig",
     "Alignments",
+    "EncodedCorpus",
     "SentenceAlignment",
     "Symmetrization",
     "TranslationTable",

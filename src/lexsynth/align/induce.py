@@ -2,8 +2,8 @@
 
 Each function takes a sequence of ``SentenceAlignment`` or an
 ``Alignments`` and works on its sorted link keys as arrays: intersection is
-key membership, induction counts pair ids made from interned token ids, and
-the writer formats each distinct ``i-j`` once.
+key membership, induction counts pair ids made from the encoded corpus's
+type ids, and the writer formats each distinct ``i-j`` once.
 """
 
 from __future__ import annotations
@@ -19,10 +19,10 @@ from ..lexicon import Lexicon, Provenance
 from .model1 import (
     AlignerConfig,
     Alignments,
+    EncodedCorpus,
     SentenceAlignment,
     Symmetrization,
     _offsets,
-    _token_ids,
 )
 
 
@@ -75,37 +75,31 @@ def induce_lexicon(
     descending count then lexicographically. Pairs where either side is a
     lone punctuation character are dropped unless cfg.keep_punct.
     """
+    corpus = EncodedCorpus.of(corpus, cfg.case_fold)
+    src, tgt = corpus.src, corpus.tgt
     alignments = Alignments.of(alignments)
     if len(alignments) != len(corpus):
         raise ValidationError(
             f"{len(alignments)} alignments for {len(corpus)} sentence pairs"
         )
-    fold = str.casefold if cfg.case_fold else str
-    src_types: dict[str, int] = {}
-    tgt_types: dict[str, int] = {}
-    src_lens, src_flat = _token_ids(
-        [s for s, _ in corpus], lambda w: src_types.setdefault(fold(w), len(src_types)))
-    tgt_lens, tgt_flat = _token_ids(
-        [t for _, t in corpus], lambda w: tgt_types.setdefault(fold(w), len(tgt_types)))
     sent, i, j = alignments.links()
-    bad = np.flatnonzero((i >= src_lens[sent]) | (j >= tgt_lens[sent]))
+    bad = np.flatnonzero((i >= src.lens[sent]) | (j >= tgt.lens[sent]))
     if len(bad):
         b = bad[0]
         n = sent[b]
         raise ValidationError(
             f"sentence {n}: link ({i[b]},{j[b]}) out of range for "
-            f"{src_lens[n]}x{tgt_lens[n]} pair"
+            f"{src.lens[n]}x{tgt.lens[n]} pair"
         )
-    n_tgt = len(tgt_types)
-    pair_ids = (src_flat[_offsets(src_lens)[sent] + i] * n_tgt
-                + tgt_flat[_offsets(tgt_lens)[sent] + j])
+    n_tgt = len(tgt.types)
+    pair_ids = (src.flat[_offsets(src.lens)[sent] + i] * n_tgt
+                + tgt.flat[_offsets(tgt.lens)[sent] + j])
     pair_ids, counts = np.unique(pair_ids, return_counts=True)
     keep = counts >= cfg.min_count
-    src_words, tgt_words = list(src_types), list(tgt_types)
     e_ids, f_ids = np.divmod(pair_ids[keep], n_tgt)
     kept = []
     for count, e, f in zip(counts[keep].tolist(), e_ids.tolist(), f_ids.tolist()):
-        s, t = src_words[e], tgt_words[f]
+        s, t = src.types[e], tgt.types[f]
         if cfg.keep_punct or not (_is_punct(s) or _is_punct(t)):
             kept.append((-count, s, t))
     kept.sort()

@@ -27,17 +27,28 @@ ids ``pairs`` with ``searchsorted``. EM runs on those chunks. The E-step
 returns counts for the chunk's pairs only; they are added into the table's
 counts in ascending chunk order.
 
-Each direction's layout is built once. ``train_model1`` keeps the token ids
-it trained on and its chunks in the table. ``viterbi_align`` always encodes
-the corpus it aligns; when those ids equal the stored ones, the layout would
-be the same, so each chunk's pair probabilities are read straight from the
-table with ``pairs``. Any other corpus, including the training corpus
-changed in place, gets its own layout, and each chunk's distinct pairs are
-found in the table with one batched ``searchsorted``. Either way one
-segmented argmax per chunk replaces any per-sentence loop: NULL's slot is
-masked, ``np.maximum.reduceat`` gives each group's best probability, the
-first slot holding it is the best source token (ties go to the lowest
-index), and the token links iff that probability is at least NULL's.
+The three corpus consumers, ``train_model1``, ``viterbi_align`` and
+``induce_lexicon``, read a corpus as an ``EncodedCorpus``: the list of its
+``(source, target)`` pairs with, per side, the sentence lengths, one flat
+array of type ids and the folded types in order of first occurrence, all
+made by ``_encode``. Each function accepts one or encodes a plain corpus
+itself, so a caller that passes one encoded corpus to all three (and its
+``swapped()`` for the other direction, which exchanges the sides without
+encoding again) encodes each side once; ``lex induce`` does that. A table's
+source row is its type id + 1, row 0 being NULL.
+
+Each direction's layout is built once. ``train_model1`` keeps the encoded
+corpus it trained on and its chunks in the table. When ``viterbi_align``
+gets a corpus with the same types and type ids, the layout would be the
+same, so each chunk's pair probabilities are read straight from the table
+with ``pairs``. Any other corpus, including the training corpus changed in
+place, gets its own layout: each of its types, not each token, is mapped to
+the table's ids, and each chunk's distinct pairs are found in the table with
+one batched ``searchsorted``. Either way one segmented argmax per chunk
+replaces any per-sentence loop: NULL's slot is masked,
+``np.maximum.reduceat`` gives each group's best probability, the first slot
+holding it is the best source token (ties go to the lowest index), and the
+token links iff that probability is at least NULL's.
 
 The links come back as ``Alignments``: the sentence shapes and one sorted
 int64 key per link, ``base[sentence] + i * tgt_len + j``, made from each
@@ -174,15 +185,6 @@ class Alignments(Sequence):
             yield SentenceAlignment(frozenset(pairs[lo:hi]), src_len=src_len, tgt_len=tgt_len)
 
 
-class _TrainedLayout(NamedTuple):
-    """The corpus a table was trained on and its slot layout: per chunk (see
-    ``_chunk_layouts``), ``group_ptr``, the table pair index of each of the
-    chunk's distinct pairs and ``local``."""
-
-    ids: tuple  # src_lens, src_flat, tgt_lens, tgt_flat (see _token_ids)
-    chunks: list
-
-
 @dataclass(eq=False)
 class TranslationTable:
     """Sparse t(target word | source word) with a NULL source row."""
@@ -195,20 +197,10 @@ class TranslationTable:
     _tgt_index: dict[str, int] = field(repr=False)
     _t: np.ndarray = field(repr=False)         # probability per pair
     _keys: np.ndarray = field(repr=False)      # src_id * n_tgt + tgt_id, sorted
-    # set by train_model1; None for a table built any other way
-    _trained_on: _TrainedLayout | None = field(default=None, repr=False)
-
-    @property
-    def source_vocab_size(self) -> int:
-        return len(self.src_words)  # includes NULL
-
-    @property
-    def target_vocab_size(self) -> int:
-        return len(self.tgt_words)
-
-    @property
-    def final_log_likelihood(self) -> float:
-        return self.log_likelihoods[-1]
+    # set by train_model1 to the encoded corpus it trained on and, per chunk
+    # (see _chunk_layouts), group_ptr, the table pair index of each of the
+    # chunk's distinct pairs and local; None for a table built any other way
+    _trained_on: tuple[EncodedCorpus, list] | None = field(default=None, repr=False)
 
     def _fold(self, word: str) -> str:
         return word.casefold() if self.case_fold else word
@@ -225,7 +217,7 @@ class TranslationTable:
         f = self.tgt_id(tgt_word)
         if e < 0 or f < 0:
             return 0.0
-        return float(self._lookup(np.array([e * self.target_vocab_size + f]))[0])
+        return float(self._lookup(np.array([e * len(self.tgt_words) + f]))[0])
 
     def _lookup(self, keys: np.ndarray) -> np.ndarray:
         """The probability of each pair key, 0 for a pair the table lacks."""
@@ -239,58 +231,73 @@ class TranslationTable:
     def probs(self) -> dict[str, dict[str, float]]:
         """Nested source → target → probability dict (small tables only)."""
         out: dict[str, dict[str, float]] = {word: {} for word in self.src_words}
-        src_ids, tgt_ids = np.divmod(self._keys, self.target_vocab_size)
+        src_ids, tgt_ids = np.divmod(self._keys, len(self.tgt_words))
         for e, f, p in zip(src_ids.tolist(), tgt_ids.tolist(), self._t.tolist()):
             out[self.src_words[e]][self.tgt_words[f]] = p
         return out
 
     def row_sums(self) -> dict[str, float]:
         """Per-source-word probability mass (should be 1 for every row)."""
-        sums = np.bincount(self._keys // self.target_vocab_size, weights=self._t,
-                           minlength=self.source_vocab_size)
+        sums = np.bincount(self._keys // len(self.tgt_words), weights=self._t,
+                           minlength=len(self.src_words))
         return {w: float(s) for w, s in zip(self.src_words, sums)}
 
 
-def _validate_corpus(corpus: ParallelCorpus) -> None:
-    if not corpus:
-        raise ValidationError("cannot train on an empty parallel corpus")
-    for n, (s, t) in enumerate(corpus):
-        if not s or not t:
-            raise ValidationError(f"parallel pair {n} has an empty side")
+class _Side(NamedTuple):
+    """One side of an encoded corpus (see ``_encode``)."""
+
+    lens: np.ndarray     # tokens per sentence
+    flat: np.ndarray     # every token's type id, sentence after sentence
+    types: list[str]     # the folded type of each id, in first-occurrence order
 
 
-def _source_fold(case_fold: bool):
-    """How a corpus source token is keyed in the source index.
-
-    A token spelled ``NULL_WORD`` must not take the NULL row: folding keys
-    it apart from NULL, and without folding it is rejected.
-    """
-    if case_fold:
-        return str.casefold
-
-    def key(word: str) -> str:
-        if word == NULL_WORD:
-            raise ValidationError(
-                f"source token {NULL_WORD!r} is reserved for the NULL word; "
-                "it is only accepted with case folding")
-        return word
-
-    return key
-
-
-def _token_ids(sentences, word_id) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sentence lengths and the flat token ids of ``sentences``.
-
-    ``word_id`` is called once per distinct word, in order of first
-    occurrence, so an id-assigning callback numbers types in corpus order.
-    """
-    ids = dict.fromkeys(itertools.chain.from_iterable(sentences))
-    for word in ids:
-        ids[word] = word_id(word)
+def _encode(sentences, fold) -> _Side:
+    """Number the folded types of ``sentences`` from 0 in order of first
+    occurrence, and give each token its type's id."""
+    types: dict[str, int] = {}
+    ids = {word: types.setdefault(fold(word), len(types))
+           for word in dict.fromkeys(itertools.chain.from_iterable(sentences))}
     lens = np.fromiter(map(len, sentences), dtype=np.int64, count=len(sentences))
     flat = np.fromiter(map(ids.__getitem__, itertools.chain.from_iterable(sentences)),
                        dtype=np.int64, count=int(lens.sum()))
-    return lens, flat
+    return _Side(lens, flat, list(types))
+
+
+class EncodedCorpus(list):
+    """A parallel corpus with each side encoded once, for ``train_model1``,
+    ``viterbi_align`` and ``induce_lexicon``.
+
+    It is the list of ``(source, target)`` pairs it was built from. ``src``
+    and ``tgt`` hold each side's sentence lengths, flat type ids and types,
+    folded with ``str.casefold`` when ``case_fold`` is set. ``swapped``
+    reverses the direction without encoding again.
+    """
+
+    def __init__(self, pairs, src: _Side, tgt: _Side, case_fold: bool):
+        super().__init__(pairs)
+        self.src, self.tgt, self.case_fold = src, tgt, case_fold
+
+    @classmethod
+    def of(cls, corpus: ParallelCorpus, case_fold: bool = True) -> EncodedCorpus:
+        """``corpus`` itself if it is an ``EncodedCorpus`` folded as
+        ``case_fold`` says, else its pairs encoded."""
+        if isinstance(corpus, cls) and corpus.case_fold == case_fold:
+            return corpus
+        fold = str.casefold if case_fold else str
+        return cls(corpus, _encode([s for s, _ in corpus], fold),
+                   _encode([t for _, t in corpus], fold), case_fold)
+
+    def swapped(self) -> EncodedCorpus:
+        """The corpus with source and target exchanged."""
+        return EncodedCorpus(swap_corpus(self), self.tgt, self.src, self.case_fold)
+
+
+def _check_source_types(types: list[str], case_fold: bool) -> None:
+    """A source token spelled ``NULL_WORD`` must not take the NULL row:
+    folding keys it apart from NULL, and without folding it is rejected."""
+    if not case_fold and NULL_WORD in types:
+        raise ValidationError(f"source token {NULL_WORD!r} is reserved for the NULL word; "
+                              "it is only accepted with case folding")
 
 
 def _offsets(lens) -> np.ndarray:
@@ -351,23 +358,24 @@ def train_model1(corpus: ParallelCorpus, cfg: AlignerConfig = AlignerConfig()) -
     source type. Each iteration distributes every target token's posterior
     over the sentence's source tokens plus NULL, renormalizes per source
     type, and records the corpus log-likelihood under the pre-update table.
-    The table keeps the corpus's token ids and slot layout, which
-    ``viterbi_align`` reuses on the same corpus.
+    A plain corpus is encoded here; an ``EncodedCorpus`` folded as ``cfg``
+    says is used as it is. The table keeps the encoded corpus and its slot
+    layout, which ``viterbi_align`` reuses on the same corpus.
     """
-    _validate_corpus(corpus)
-    src_fold = _source_fold(cfg.case_fold)
-    fold = str.casefold if cfg.case_fold else str
+    corpus = EncodedCorpus.of(corpus, cfg.case_fold)
+    src, tgt = corpus.src, corpus.tgt
+    if not corpus:
+        raise ValidationError("cannot train on an empty parallel corpus")
+    empty = np.flatnonzero((src.lens == 0) | (tgt.lens == 0))
+    if len(empty):
+        raise ValidationError(f"parallel pair {empty[0]} has an empty side")
+    _check_source_types(src.types, cfg.case_fold)
 
-    src_index: dict[str, int] = {NULL_WORD: 0}
-    tgt_index: dict[str, int] = {}
-    src_lens, src_flat = _token_ids(
-        [s for s, _ in corpus], lambda w: src_index.setdefault(src_fold(w), len(src_index)))
-    tgt_lens, tgt_flat = _token_ids(
-        [t for _, t in corpus], lambda w: tgt_index.setdefault(fold(w), len(tgt_index)))
-    n_src = len(src_index)
-    n_tgt = len(tgt_index)
+    src_words = [NULL_WORD, *src.types]  # a source type's row is its id + 1
+    n_src = len(src_words)
+    n_tgt = len(tgt.types)
 
-    chunks = list(_chunk_layouts(src_lens, src_flat, tgt_lens, tgt_flat, n_tgt))
+    chunks = list(_chunk_layouts(src.lens, src.flat + 1, tgt.lens, tgt.flat, n_tgt))
     # The table's pairs are the chunks' keys merged: sorted, first of each run.
     merged = np.concatenate([keys for _, keys, _ in chunks])
     merged.sort()
@@ -397,14 +405,14 @@ def train_model1(corpus: ParallelCorpus, cfg: AlignerConfig = AlignerConfig()) -
 
     return TranslationTable(
         case_fold=cfg.case_fold,
-        src_words=list(src_index),
-        tgt_words=list(tgt_index),
+        src_words=src_words,
+        tgt_words=list(tgt.types),
         log_likelihoods=log_likelihoods,
-        _src_index=src_index,
-        _tgt_index=tgt_index,
+        _src_index={word: e for e, word in enumerate(src_words)},
+        _tgt_index={word: f for f, word in enumerate(tgt.types)},
         _t=t,
         _keys=pair_keys,
-        _trained_on=_TrainedLayout((src_lens, src_flat, tgt_lens, tgt_flat), chunks),
+        _trained_on=(corpus, chunks),
     )
 
 
@@ -415,20 +423,24 @@ def viterbi_align(corpus: ParallelCorpus, table: TranslationTable) -> Alignments
     index, and NULL loses ties to any real token. Words or pairs the table
     does not know have probability 0.
     """
-    src_fold = _source_fold(table.case_fold)
-    ids = (*_token_ids([s for s, _ in corpus],
-                       lambda w: table._src_index.get(src_fold(w), -1)),
-           *_token_ids([t for _, t in corpus], table.tgt_id))
-    src_lens, src_flat, tgt_lens, tgt_flat = ids
+    corpus = EncodedCorpus.of(corpus, table.case_fold)
+    src, tgt = corpus.src, corpus.tgt
     trained = table._trained_on
-    if trained is not None and all(map(np.array_equal, ids, trained.ids)):
-        # The corpus EM ran on: its chunks' pairs are the table's.
+    if trained is not None and all(
+            x.types == y.types and np.array_equal(x.lens, y.lens) and np.array_equal(x.flat, y.flat)
+            for x, y in ((src, trained[0].src), (tgt, trained[0].tgt))):
+        # The corpus EM ran on (the same types and ids): its chunks' pairs
+        # are the table's.
         chunks = ((group_ptr, table._t[pairs], local)
-                  for group_ptr, pairs, local in trained.chunks)
+                  for group_ptr, pairs, local in trained[1])
     else:
+        _check_source_types(src.types, table.case_fold)
+        src_ids = np.array([table._src_index.get(w, -1) for w in src.types], dtype=np.int64)
+        tgt_ids = np.array([table._tgt_index.get(w, -1) for w in tgt.types], dtype=np.int64)
         chunks = ((group_ptr, table._lookup(keys), local)
                   for group_ptr, keys, local in _chunk_layouts(
-                      src_lens, src_flat, tgt_lens, tgt_flat, table.target_vocab_size))
+                      src.lens, src_ids[src.flat], tgt.lens, tgt_ids[tgt.flat],
+                      len(table.tgt_words)))
 
     # Segmented argmax over each group's source slots: the NULL slot is
     # masked below every probability, a group links iff its maximum beats or
@@ -452,9 +464,9 @@ def viterbi_align(corpus: ParallelCorpus, table: TranslationTable) -> Alignments
     linked = np.concatenate(linked_parts)
     link_i = np.concatenate(link_i_parts)
 
-    sent_groups = _offsets(tgt_lens)
+    sent_groups = _offsets(tgt.lens)
     sent = np.searchsorted(sent_groups, linked, side="right") - 1
-    return Alignments.from_links(src_lens, tgt_lens, sent, link_i, linked - sent_groups[sent])
+    return Alignments.from_links(src.lens, tgt.lens, sent, link_i, linked - sent_groups[sent])
 
 
 def swap_corpus(corpus: ParallelCorpus) -> ParallelCorpus:

@@ -29,9 +29,9 @@ from . import __version__, corpus_io, mix, synth
 from .align import (
     AlignerConfig,
     Alignments,
+    EncodedCorpus,
     Symmetrization,
     induce_lexicon,
-    swap_corpus,
     symmetrize,
     train_model1,
     viterbi_align,
@@ -172,20 +172,21 @@ def _cmd_lex_induce(args) -> int:
         keep_punct=args.keep_punct,
     )
     corpus = corpus_io.read_parallel(args.src, args.tgt)
-    # Each direction aligns the corpus it was trained on, so Viterbi reuses
-    # the table's slot layout; the table is dropped once it has aligned.
+    # Each side is encoded once: the backward direction swaps the sides and
+    # induction reads the forward encoding. Each direction aligns the corpus
+    # it was trained on, so Viterbi reuses the table's slot layout; the table
+    # is dropped once it has aligned.
+    encoded = EncodedCorpus.of(corpus, cfg.case_fold)
     alignments = []
-    final_lls = []
-    for name, direction in (("forward", corpus), ("backward", swap_corpus(corpus))):
+    for name, direction in (("forward", encoded), ("backward", encoded.swapped())):
         table = train_model1(direction, cfg)
         alignments.append(viterbi_align(direction, table))
         logger.info("%s EM log-likelihoods: %s", name,
                     " ".join(f"{ll:.4f}" for ll in table.log_likelihoods))
-        final_lls.append(table.final_log_likelihood)
         del table
     forward, backward = alignments
     combined = symmetrize(forward, backward, cfg.symmetrization)
-    lex = induce_lexicon(corpus, combined, cfg)
+    lex = induce_lexicon(encoded, combined, cfg)
     out = _Outputs()
     out.add(args.out, lambda p: save_lexicon(lex, p))
     if args.dump_alignments:
@@ -196,11 +197,7 @@ def _cmd_lex_induce(args) -> int:
                             np.insert(combined.tgt_lens, pos, 0), combined.keys)
         out.add(args.dump_alignments, lambda p: write_alignments(dumped, p))
     out.commit()
-    logger.info(
-        "induced %d entries (final log-likelihoods: fwd %.4f, bwd %.4f)",
-        lex.entry_count(),
-        *final_lls,
-    )
+    logger.info("induced %d entries", lex.entry_count())
     return 0
 
 

@@ -16,9 +16,10 @@ of that layout. A sentence without passthrough rows is written with default
 rows: ``token<TAB>label`` for TwoColumn, and for CoNLL-U the ID, FORM and
 ``_`` in the other eight columns before the labels are filled in.
 
-Inputs are UTF-8; a leading byte-order mark is dropped, and lines end at
-LF, CRLF or CR. All outputs are UTF-8 with LF line endings and a trailing
-newline.
+Inputs are UTF-8, opened through ``errors.open_input``: a leading
+byte-order mark is dropped, a byte that is not UTF-8 is a
+``DataFormatError``, and lines end at LF, CRLF or CR. All outputs are UTF-8
+with LF line endings and a trailing newline.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import DataFormatError, ValidationError
+from .errors import DataFormatError, ValidationError, open_input
 
 logger = logging.getLogger(__name__)
 
@@ -113,7 +114,7 @@ def read_mono(path, limit: int | None = None) -> TokenizedCorpus:
     corpus: TokenizedCorpus = []
     if limit == 0:
         return corpus
-    with Path(path).open("r", encoding="utf-8-sig") as fh:
+    with open_input(path) as fh:
         for line in fh:
             tokens = line.split()
             if not tokens:
@@ -146,9 +147,9 @@ def read_parallel(src_path, tgt_path) -> ParallelPairs:
     ``\n``, ``\r\n`` or ``\r`` only: a U+2028 or form feed inside a line
     does not end it.
     """
-    with Path(src_path).open("r", encoding="utf-8-sig") as fh:
+    with open_input(src_path) as fh:
         src_lines = list(fh)
-    with Path(tgt_path).open("r", encoding="utf-8-sig") as fh:
+    with open_input(tgt_path) as fh:
         tgt_lines = list(fh)
     if len(src_lines) != len(tgt_lines):
         raise ValidationError(
@@ -198,7 +199,7 @@ def _blocks(path):
     already turned CRLF and CR line ends into LF.
     """
     block: list[tuple[int, str]] = []
-    with Path(path).open("r", encoding="utf-8-sig") as fh:
+    with open_input(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if line.strip():
@@ -219,7 +220,6 @@ def _sentence(path, line: int, tokens: list[str], schema: Schema, **columns) -> 
 
 
 def _read_two_col(path, schema: Schema, token_col: int, label_col: int) -> LabeledCorpus:
-    path = Path(path)
     need = max(token_col, label_col) + 1
     sentences: list[LabeledSentence] = []
     ncols: int | None = None
@@ -262,7 +262,6 @@ def _is_range_or_empty_id(id_field: str) -> bool:
 
 
 def _read_conllu(path, schema: Schema) -> LabeledCorpus:
-    path = Path(path)
     sentences: list[LabeledSentence] = []
     for block in _blocks(path):
         rows: list[tuple[str, object]] = []
@@ -369,7 +368,7 @@ def sniff_format(path) -> Format:
     CoNLL-U when it has 10 tab-separated columns. When none of the first 20
     such lines decides, the file is TwoColumn.
     """
-    with Path(path).open("r", encoding="utf-8-sig") as fh:
+    with open_input(path) as fh:
         seen = 0
         for line in fh:
             line = line.rstrip("\n")

@@ -23,7 +23,7 @@ import enum
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import DataFormatError, ValidationError
+from .errors import DataFormatError, ValidationError, open_input
 
 UND = "und"  # undetermined language code
 
@@ -134,11 +134,10 @@ def load_lexicon(path, mode: LoadMode = LoadMode.ALLOW_MULTI_TOKEN) -> tuple[Lex
     they can never match a word-to-word lookup. Duplicate pairs are silently
     collapsed keeping first-seen order.
     """
-    path = Path(path)
     meta: dict[str, str] = {}
     lex = Lexicon()
     dropped = 0
-    with path.open("r", encoding="utf-8-sig") as fh:
+    with open_input(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line.strip():

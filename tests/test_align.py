@@ -13,6 +13,7 @@ from lexsynth.align import (
     NULL_WORD,
     AlignerConfig,
     Alignments,
+    EncodedCorpus,
     SentenceAlignment,
     Symmetrization,
     induce_lexicon,
@@ -334,6 +335,17 @@ class TestLayoutReuse:
             self.assert_reuse_matches_rebuild_and_oracle(corpus, fresh, layout_builds)
 
 
+def test_renamed_types_with_the_same_ids_rebuild_the_layout():
+    # every source word renamed: the type ids are the training corpus's, the
+    # types are not, so the table's layout must not be reused
+    corpus = DISAMBIGUATION * 2
+    table = train_model1(corpus, AlignerConfig(iterations=3))
+    renamed = [([w + "2" for w in src], tgt) for src, tgt in corpus]
+    assert np.array_equal(EncodedCorpus.of(renamed).src.flat, table._trained_on[0].src.flat)
+    links = [a.links for a in viterbi_align(renamed, table)]
+    assert links == brute_force_viterbi(renamed, table.probs()) == [set()] * len(corpus)
+
+
 def test_chunk_layout_accepts_any_key_space_and_rejects_oversized_chunks():
     one = np.array([1], dtype=np.int64)
     ids = (one, one, one, np.array([0], dtype=np.int64))  # 2 slots: NULL and source id 1
@@ -542,6 +554,44 @@ def test_columnar_links_match_the_link_oracle(tmp_path_factory, data, method, mi
     path = tmp_path_factory.mktemp("al") / "al.txt"
     write_alignments(given_links, path)
     assert path.read_text(encoding="utf-8") == link_oracle.alignment_text(links)
+
+
+training_corpora = st.lists(
+    st.tuples(st.lists(st.sampled_from(WORDS), min_size=1, max_size=4),
+              st.lists(st.sampled_from(WORDS), min_size=1, max_size=4)),
+    min_size=1, max_size=6)
+
+
+@given(training_corpora, st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_encoded_corpus_gives_the_plain_corpus_results(corpus, case_fold):
+    """Training, Viterbi and induction give the same results on an
+    ``EncodedCorpus`` and its ``swapped()`` as on the plain list and the
+    ``swap_corpus`` list, also when the encoding was folded otherwise."""
+    cfg = AlignerConfig(iterations=3, min_count=1, case_fold=case_fold, keep_punct=True)
+    encoded = EncodedCorpus.of(corpus, case_fold)
+    assert EncodedCorpus.of(encoded, case_fold) is encoded
+    folded_otherwise = EncodedCorpus.of(corpus, not case_fold)
+    for plain, enc, other in ((corpus, encoded, folded_otherwise),
+                              (swap_corpus(corpus), encoded.swapped(),
+                               folded_otherwise.swapped())):
+        assert list(enc) == plain and len(enc) == len(plain)
+        want = train_model1(plain, cfg)
+        want_links = viterbi_align(plain, want)
+        want_lex = induce_lexicon(plain, want_links, cfg)
+        for given_corpus in (enc, other):
+            table = train_model1(given_corpus, cfg)
+            assert np.array_equal(table._t, want._t)
+            assert np.array_equal(table._keys, want._keys)
+            assert table.log_likelihoods == want.log_likelihoods
+            assert table.src_words == want.src_words and table.tgt_words == want.tgt_words
+            untrained = dataclasses.replace(table, _trained_on=None)  # rebuilds the layout
+            for links in (viterbi_align(given_corpus, table), viterbi_align(given_corpus, want),
+                          viterbi_align(given_corpus, untrained)):
+                assert np.array_equal(links.keys, want_links.keys)
+                assert np.array_equal(links.src_lens, want_links.src_lens)
+                assert np.array_equal(links.tgt_lens, want_links.tgt_lens)
+            assert induce_lexicon(given_corpus, want_links, cfg) == want_lex
 
 
 class TestAlignments:

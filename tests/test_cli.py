@@ -21,6 +21,7 @@ from conftest import (
     verse_corpus,
 )
 from lexsynth import cli, corpus_io, mix, synth
+from lexsynth.align import model1
 from lexsynth.align import (
     AlignerConfig,
     induce_lexicon,
@@ -144,11 +145,14 @@ class TestLexCommands:
         assert "3" in err and "4" in err
         assert not out.exists()
 
-    def null_token_induce(self, tmp_path, *flags):
+    def null_token_induce(self, tmp_path, *flags, null_side="src"):
         src = tmp_path / "src.txt"
         tgt = tmp_path / "tgt.txt"
-        src.write_text("<NULL> a\na\n", encoding="utf-8")
-        tgt.write_text("x y\ny\n", encoding="utf-8")
+        texts = ["<NULL> a\na\n", "x y\ny\n"]
+        if null_side == "tgt":
+            texts.reverse()
+        src.write_text(texts[0], encoding="utf-8")
+        tgt.write_text(texts[1], encoding="utf-8")
         return ["lex", "induce", "--src", str(src), "--tgt", str(tgt),
                 "--out", str(tmp_path / "out.tsv"), "--dump-alignments",
                 str(tmp_path / "al.txt"), "--min-count", "1", *flags]
@@ -159,11 +163,32 @@ class TestLexCommands:
         assert "<null>\tx\n" in (tmp_path / "out.tsv").read_text(encoding="utf-8")
 
     def test_induce_null_spelled_token_without_folding_exit_3(self, tmp_path, capsys):
-        argv = self.null_token_induce(tmp_path, "--no-case-fold")
-        inputs = set(tmp_path.iterdir())
-        assert main(argv) == 3
-        assert "<NULL>" in capsys.readouterr().err
-        assert set(tmp_path.iterdir()) == inputs  # no output, no temp file
+        # on the target side, the backward direction (the encoded corpus's
+        # swapped()) meets <NULL> as a source token
+        for null_side in ("src", "tgt"):
+            work = tmp_path / null_side
+            work.mkdir()
+            argv = self.null_token_induce(work, "--no-case-fold", null_side=null_side)
+            inputs = set(work.iterdir())
+            assert main(argv) == 3
+            assert "<NULL>" in capsys.readouterr().err
+            assert set(work.iterdir()) == inputs  # no output, no temp file
+
+    def test_induce_encodes_each_side_once(self, tmp_path, monkeypatch):
+        calls = []
+        encode = model1._encode
+
+        def spy(*args):
+            calls.append(args)
+            return encode(*args)
+
+        monkeypatch.setattr(model1, "_encode", spy)
+        corpus_io.write_parallel(verse_corpus(1500, seed=3), tmp_path / "src.txt",
+                                 tmp_path / "tgt.txt")
+        assert main(["lex", "induce", "--src", str(tmp_path / "src.txt"),
+                     "--tgt", str(tmp_path / "tgt.txt"), "--out", str(tmp_path / "out.tsv"),
+                     "--dump-alignments", str(tmp_path / "al.txt")]) == 0
+        assert len(calls) == 2  # the source side and the target side
 
     def test_induce_chunk_past_2_31_slots_exit_3_quickly(self, tmp_path, capsys):
         # one pair of 2**16 source and 2**15 target tokens: 2,147,516,416 slots
@@ -509,6 +534,52 @@ class TestSameOutputPath:
             path.unlink()  # a missing input would otherwise exit 2
         assert main(argv) == 1
         assert not any(tmp_path.iterdir())
+
+
+class TestUndecodableInput:
+    """An input byte that is not UTF-8 is a data-format error: exit 2, a
+    message naming the file and the bad byte's offset, no traceback and no
+    output. One case per reader."""
+
+    def argv(self, tmp_path, reader, bad):
+        good = {
+            "mono": tmp_path / "mono.txt",
+            "lexicon": lexicon_file(tmp_path, [("a", "x")]),
+            "labeled": two_col_file(tmp_path, "a b", "X Y"),
+        }
+        good["mono"].write_text("a b\nb a\n", encoding="utf-8")
+        out = str(tmp_path / "out.txt")
+        return {
+            "read_mono": ["synth", "mono", "--corpus", bad, "--lexicon", str(good["lexicon"]),
+                          "--out", out, "--seed", "1"],
+            "read_parallel": ["lex", "induce", "--src", str(good["mono"]), "--tgt", bad,
+                              "--out", out, "--dump-alignments", str(tmp_path / "al.txt")],
+            "read_labeled": ["synth", "labeled", "--input", bad, "--format", "two-col",
+                             "--schema", "pos", "--lexicon", str(good["lexicon"]),
+                             "--out", out, "--seed", "1"],
+            "sniff_format": ["distill", "apply", "--pseudo", bad,
+                             "--teacher", str(good["labeled"]), "--out", out],
+            "load_lexicon": ["synth", "mono", "--corpus", str(good["mono"]), "--lexicon", bad,
+                             "--out", out, "--seed", "1"],
+        }[reader]
+
+    @pytest.mark.parametrize("reader", ["read_mono", "read_parallel", "read_labeled",
+                                        "sniff_format", "load_lexicon"])
+    def test_exit_2_naming_the_file_and_offset(self, tmp_path, capsys, reader):
+        bad = tmp_path / "bad.txt"
+        # a BOM, one good line, then 0xFF in the second line
+        bad.write_bytes({"read_mono": b"\xef\xbb\xbfa b\nb\xffa\n",
+                         "read_parallel": b"\xef\xbb\xbfx y\nz\xffy\n",
+                         "load_lexicon": b"\xef\xbb\xbfa\tx\n\xff\tz\n"}.get(
+                             reader, b"\xef\xbb\xbfa\tX\n\xffb\tY\n"))
+        argv = self.argv(tmp_path, reader, str(bad))
+        inputs = set(tmp_path.iterdir())
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        offset = bad.read_bytes().index(b"\xff")
+        assert f"{bad}: not valid UTF-8: byte 0xff at byte offset {offset}" in err
+        assert "Traceback" not in err and "UnicodeDecodeError" not in err
+        assert set(tmp_path.iterdir()) == inputs  # no output, no temp file
 
 
 @pytest.fixture

@@ -69,6 +69,16 @@ class TestMono:
         path = write(tmp_path, "\ufeffa b\nc\n", "m.txt")
         assert read_mono(path) == [["a", "b"], ["c"]]
 
+    def test_undecodable_byte_named_by_its_file_offset(self, tmp_path):
+        # far past the text reader's first buffered chunk
+        path = tmp_path / "m.txt"
+        good = "\ufeff" + "a b\n" * 50_000
+        path.write_bytes(good.encode("utf-8") + b"c\xe9\n")
+        offset = len(good.encode("utf-8")) + 1
+        with pytest.raises(DataFormatError,
+                           match=f"m.txt: not valid UTF-8: byte 0xe9 at byte offset {offset}$"):
+            read_mono(path)
+
 
 class TestParallel:
     def test_pairing(self, tmp_path):
