@@ -2,7 +2,10 @@
 
 Formats handled:
   * plain monolingual text: one tokenized sentence per line, space-separated;
-    blank lines are skipped
+    blank lines are skipped. ``read_mono`` returns a ``MonoCorpus``, which
+    holds each sentence as that line (its tokens joined by single spaces)
+    and splits it only when an item is read; ``synth.synth_mono``,
+    ``mix.upsample_to_match`` and ``mix.concat_shuffle`` return one too
   * parallel text: two line-aligned monolingual files
   * TwoColumn: one ``token<TAB>label`` line per token; extra tab-separated
     columns are kept as passthrough rows for round-tripping
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import enum
 import logging
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -36,6 +40,9 @@ logger = logging.getLogger(__name__)
 TokenizedSentence = list[str]
 TokenizedCorpus = list[TokenizedSentence]
 ParallelCorpus = list[tuple[TokenizedSentence, TokenizedSentence]]
+
+# Lines ``write_mono`` joins into one write.
+_WRITE_LINES = 1024
 
 
 class Schema(enum.Enum):
@@ -104,31 +111,102 @@ class LabeledCorpus:
         return len(self.sentences)
 
 
-def read_mono(path, limit: int | None = None) -> TokenizedCorpus:
+class MonoCorpus(Sequence):
+    """A plain-text corpus held as one string per sentence.
+
+    Item k is sentence k's token list, split from ``lines[k]`` each time it
+    is read; a slice is a ``MonoCorpus``. ``lines`` holds each sentence's
+    tokens joined by single spaces, the line ``write_mono`` writes; the
+    constructor takes such lines as they are. Build one from token lists
+    with ``of``, which checks that every token survives its line.
+    """
+
+    def __init__(self, lines: list[str] | None = None):
+        self.lines = [] if lines is None else lines
+
+    @classmethod
+    def of(cls, corpus) -> MonoCorpus:
+        """``corpus`` itself if it is a ``MonoCorpus``, else its token lists
+        joined into lines.
+
+        A token that is empty or holds whitespace would be split differently
+        when its line is read, so it is a ``ValidationError`` naming the
+        sentence and the token.
+        """
+        if isinstance(corpus, cls):
+            return corpus
+        lines = []
+        for k, tokens in enumerate(corpus):
+            line = " ".join(tokens)
+            if line.split() != tokens:
+                for i, token in enumerate(tokens):
+                    if token.split() != [token]:
+                        raise ValidationError(
+                            f"sentence {k}, token {i}: {token!r} is empty or holds "
+                            "whitespace, so it cannot be held as one token of a line"
+                        )
+            lines.append(line)
+        return cls(lines)
+
+    def _append_rows(self, rows) -> None:
+        """Append rows whose items are known to be non-empty tokens joined
+        by single spaces, without the check ``of`` makes."""
+        self.lines.extend(map(" ".join, rows))
+
+    def __len__(self) -> int:
+        return len(self.lines)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return MonoCorpus(self.lines[k])
+        return self.lines[k].split()
+
+    def __iter__(self):
+        return map(str.split, self.lines)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, MonoCorpus):
+            return self.lines == other.lines
+        if isinstance(other, Sequence) and not isinstance(other, str):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"MonoCorpus({self.lines!r})"
+
+
+def read_mono(path, limit: int | None = None) -> MonoCorpus:
     """Read one tokenized sentence per line; blank lines are skipped.
 
-    ``limit`` keeps only the first N sentences (0 keeps none).
+    ``limit`` keeps only the first N sentences (0 keeps none). Each kept
+    line is held with its tokens joined by single spaces.
     """
     if limit is not None and limit < 0:
         raise ValidationError(f"limit must be >= 0, got {limit}")
-    corpus: TokenizedCorpus = []
+    lines: list[str] = []
     if limit == 0:
-        return corpus
+        return MonoCorpus(lines)
     with open_input(path) as fh:
         for line in fh:
-            tokens = line.split()
-            if not tokens:
+            line = " ".join(line.split())
+            if not line:
                 continue
-            corpus.append(tokens)
-            if limit is not None and len(corpus) >= limit:
+            lines.append(line)
+            if limit is not None and len(lines) >= limit:
                 break
-    return corpus
+    return MonoCorpus(lines)
 
 
-def write_mono(corpus: TokenizedCorpus, path) -> None:
+def write_mono(corpus: MonoCorpus | TokenizedCorpus, path) -> None:
+    """Write one sentence per line, tokens joined by single spaces.
+
+    A list of token lists goes through ``MonoCorpus.of``, so a token that
+    is empty or holds whitespace is a ``ValidationError``.
+    """
+    lines = MonoCorpus.of(corpus).lines
     with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        for sentence in corpus:
-            fh.write(" ".join(sentence) + "\n")
+        for lo in range(0, len(lines), _WRITE_LINES):
+            fh.write("\n".join(lines[lo:lo + _WRITE_LINES]) + "\n")
 
 
 class ParallelPairs(list):

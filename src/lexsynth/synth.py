@@ -15,10 +15,14 @@ core (``_synthesize``):
   the key is not covered. Coverage counts come from the type ids and the
   key table, not from per-token set inserts.
 - **Blocks.** The corpus is processed in fixed blocks of ``_BLOCK_SENTS``
-  sentences, which bounds the per-position arrays. A block's type ids and
-  candidate counts are gathered with numpy, every covered position draws
-  at once, one object-array gather puts the chosen candidates in place,
-  and the block is sliced back into sentences.
+  sentences, which bounds the per-position arrays. A block's sentences are
+  taken as token lists once (a ``MonoCorpus`` splits its lines there), its
+  type ids and candidate counts are gathered with numpy, every covered
+  position draws at once, one object-array gather puts the chosen
+  candidates in place, and the block is sliced back into rows, which go to
+  the caller's sink before the next block starts. ``synth_mono``'s sink
+  joins them into the lines of a ``MonoCorpus``, so no output token list
+  outlives its block.
 - **The draw.** A SplitMix64 finalizer (Steele, Lea & Flood, OOPSLA 2014)
   over the seed, sentence index and token index, computed in numpy
   ``uint64``, whose wraparound arithmetic equals the same formula over
@@ -27,24 +31,24 @@ core (``_synthesize``):
   and shift count is an ``np.uint64`` so the arithmetic stays ``uint64``
   under both value-based casting and NEP 50. Blocking cannot change a draw:
   its only inputs are those three numbers.
-- **Multi-token targets** are split once per candidate, and after the
-  gather the chosen target's tokens are spliced into its sentence in place
-  of the source token, so unreplaced tokens stay the input's own strings.
-  ``synth_labeled`` rejects such targets before it calls the core, and a
-  single-token target splits to itself (``Lexicon.add`` and
-  ``load_lexicon`` normalize every target), so labeled output keeps its
-  token counts.
+- **Targets** are placed whole, as their tokens joined by single spaces,
+  so a row item is an input token or a non-empty normalized target. When
+  ``synth_mono`` joins a row into its line, a multi-token target's tokens
+  take the source token's place, and the line needs no check.
+  ``synth_labeled`` rejects multi-token targets before it calls the core,
+  so labeled output keeps its token counts.
 """
 
 from __future__ import annotations
 
 from array import array
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from itertools import chain
 
 import numpy as np
 
-from .corpus_io import LabeledCorpus, TokenizedCorpus
+from .corpus_io import LabeledCorpus, MonoCorpus, TokenizedCorpus
 from .errors import ValidationError
 from .lexicon import Lexicon
 
@@ -93,9 +97,8 @@ class CoverageReport:
 class _Types(dict):
     """Token string -> type id; the first lookup of a string fills its row.
 
-    ``first`` and ``count`` give each type's candidate range in ``cands``;
-    ``spliced[c]`` is 1 when candidate ``c`` must be replaced by the token
-    list ``parts[c]`` (a multi-token target).
+    ``first`` and ``count`` give each type's candidate range in ``cands``,
+    which holds every target normalized to single-space-joined tokens.
     """
 
     def __init__(self, lex: Lexicon):
@@ -105,8 +108,6 @@ class _Types(dict):
         self.count = array("q")
         self.ranges: dict[str, tuple[int, int]] = {}
         self.cands: list[str] = []
-        self.spliced = array("b")
-        self.parts: dict[int, list[str]] = {}
         self._cand_array = np.empty(0, dtype=object)
 
     def __missing__(self, token: str) -> int:
@@ -122,14 +123,7 @@ class _Types(dict):
     def _add_candidates(self, key: str) -> tuple[int, int]:
         start = len(self.cands)
         found = self.entries.get(key) or ()
-        for entry in found:
-            target = entry.target
-            parts = target.split()
-            spliced = parts != [target]
-            if spliced:
-                self.parts[len(self.cands)] = parts
-            self.spliced.append(spliced)
-            self.cands.append(target)
+        self.cands.extend(" ".join(entry.target.split()) for entry in found)
         return start, len(found)
 
     def cand_array(self) -> np.ndarray:
@@ -157,26 +151,27 @@ def _synthesize(
     sentences,
     lex: Lexicon,
     cfg: SynthesisConfig | None,
-) -> tuple[list[list[str]] | None, CoverageReport]:
-    """The lookup/draw core: (output sentences, coverage) for ``sentences``.
+    emit: Callable[[list[list[str]]], object] | None,
+) -> CoverageReport:
+    """The lookup/draw core: the coverage of ``sentences``, whose output
+    rows go to ``emit`` one block at a time, in corpus order.
 
     Sentence ``k`` draws with sentence index ``k``. With ``cfg=None`` only
-    the coverage is computed and the output is None.
+    the coverage is computed and ``emit`` is not called.
     """
     types = _Types(lex)
-    out: list[list[str]] | None = None if cfg is None else []
     total = replaced = 0
     if cfg is not None:
         seed_term = np.uint64((cfg.seed * _K1 + _K4) & _MASK)
     for lo in range(0, len(sentences), _BLOCK_SENTS):
-        block = sentences[lo:lo + _BLOCK_SENTS]
+        block = list(sentences[lo:lo + _BLOCK_SENTS])
         flat = list(chain.from_iterable(block))
         ids = np.fromiter(map(types.__getitem__, flat), dtype=np.intp, count=len(flat))
         count = np.frombuffer(types.count, dtype=np.int64)[ids]
         hit = np.flatnonzero(count)
         total += len(flat)
         replaced += len(hit)
-        if out is None:
+        if cfg is None:
             continue
 
         lens = np.fromiter(map(len, block), dtype=np.intp, count=len(block))
@@ -193,13 +188,7 @@ def _synthesize(
         tokens = np.array(flat, dtype=object)
         tokens[hit] = types.cand_array()[cidx]
         tokens = tokens.tolist()
-        rows = [tokens[a:b] for a, b in zip(starts.tolist(), ends.tolist())]
-        if types.parts:
-            # Last position first, so the positions before it stay put.
-            m = np.flatnonzero(np.frombuffer(types.spliced, dtype=np.int8)[cidx])[::-1]
-            for s, t, c in zip(sent[m].tolist(), tok[m].tolist(), cidx[m].tolist()):
-                rows[s][t:t + 1] = types.parts[c]
-        out.extend(rows)
+        emit([tokens[a:b] for a, b in zip(starts.tolist(), ends.tolist())])
 
     distinct, covered = types.key_counts()
     report = CoverageReport(
@@ -210,20 +199,24 @@ def _synthesize(
         covered_types=covered,
         sentences=len(sentences),
     )
-    return out, report
+    return report
 
 
 def synth_mono(
-    corpus: TokenizedCorpus,
+    corpus: MonoCorpus | TokenizedCorpus,
     lex: Lexicon,
     cfg: SynthesisConfig,
-) -> tuple[TokenizedCorpus, CoverageReport]:
+) -> tuple[MonoCorpus, CoverageReport]:
     """Pseudo monolingual synthesis: sentence i is translated with stream i.
 
-    The coverage report counts input positions, so replacement_rate is
-    unaffected by multi-token expansion.
+    A list of token lists goes through ``MonoCorpus.of`` first, so a token
+    that is empty or holds whitespace is a ``ValidationError``. The coverage
+    report counts input positions, so replacement_rate is unaffected by
+    multi-token expansion.
     """
-    return _synthesize(corpus, lex, cfg)
+    out = MonoCorpus()
+    report = _synthesize(MonoCorpus.of(corpus), lex, cfg, out._append_rows)
+    return out, report
 
 
 def synth_labeled(
@@ -243,15 +236,16 @@ def synth_labeled(
                 "labeled synthesis requires a single-token-only lexicon"
             )
 
-    tokens, report = _synthesize([s.tokens for s in corpus.sentences], lex, cfg)
+    tokens: list[list[str]] = []
+    report = _synthesize([s.tokens for s in corpus.sentences], lex, cfg, tokens.extend)
     out = [replace(sent, tokens=toks) for toks, sent in zip(tokens, corpus.sentences)]
     return LabeledCorpus(corpus.schema, out), report
 
 
-def coverage(corpus: TokenizedCorpus | LabeledCorpus, lex: Lexicon) -> CoverageReport:
+def coverage(corpus: MonoCorpus | TokenizedCorpus | LabeledCorpus, lex: Lexicon) -> CoverageReport:
     """Count lexicon hits without synthesizing anything."""
     if isinstance(corpus, LabeledCorpus):
         sentences = [s.tokens for s in corpus.sentences]
     else:
         sentences = corpus
-    return _synthesize(sentences, lex, None)[1]
+    return _synthesize(sentences, lex, None, None)

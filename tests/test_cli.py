@@ -2,6 +2,7 @@ import gc
 import json
 import logging
 import os
+import random
 import subprocess
 import sys
 import time
@@ -189,6 +190,39 @@ class TestLexCommands:
                      "--tgt", str(tmp_path / "tgt.txt"), "--out", str(tmp_path / "out.tsv"),
                      "--dump-alignments", str(tmp_path / "al.txt")]) == 0
         assert len(calls) == 2  # the source side and the target side
+
+    def test_induce_case_folding_gate(self, tmp_path):
+        # verse_corpus is all lowercase; respell about 40% of its tokens in
+        # upper or title case, and one word pair with ß and SS, which
+        # casefold (but not lower) maps to "ss"
+        rng = random.Random(20)
+        lower, mixed = [], []
+        for src, tgt in verse_corpus(2000, seed=20):
+            src = ["strasse" if w == "src1" else w for w in src]
+            tgt = ["gasse" if w == "tgt1" else w for w in tgt]
+            lower.append((src, tgt))
+            mixed.append(tuple(
+                [rng.choice(["straße", "STRASSE", "Straße"]) if w == "strasse"
+                 else rng.choice(["gaße", "GASSE"]) if w == "gasse"
+                 else rng.choices([w, w.upper(), w.capitalize()], weights=[6, 2, 2])[0]
+                 for w in side]
+                for side in (src, tgt)))
+
+        def induce(corpus, name, *flags):
+            work = tmp_path / name
+            work.mkdir()
+            corpus_io.write_parallel(corpus, work / "src.txt", work / "tgt.txt")
+            assert main(["lex", "induce", "--src", str(work / "src.txt"),
+                         "--tgt", str(work / "tgt.txt"), "--out", str(work / "out.tsv"),
+                         "--dump-alignments", str(work / "al.txt"), *flags]) == 0
+            return [(work / f).read_bytes() for f in ("out.tsv", "al.txt")]
+
+        want = induce(lower, "lower")
+        assert b"strasse\tgasse\n" in want[0]
+        folded = induce(mixed, "folded")
+        assert folded == want
+        unfolded = induce(mixed, "unfolded", "--no-case-fold")
+        assert unfolded[0] != want[0] and unfolded[1] != want[1]
 
     def test_induce_chunk_past_2_31_slots_exit_3_quickly(self, tmp_path, capsys):
         # one pair of 2**16 source and 2**15 target tokens: 2,147,516,416 slots

@@ -1,4 +1,5 @@
 import logging
+import re
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,6 +10,7 @@ from lexsynth.corpus_io import (
     Format,
     LabeledCorpus,
     LabeledSentence,
+    MonoCorpus,
     Schema,
     TwoColRows,
     read_labeled,
@@ -69,6 +71,21 @@ class TestMono:
         path = write(tmp_path, "\ufeffa b\nc\n", "m.txt")
         assert read_mono(path) == [["a", "b"], ["c"]]
 
+    def test_lines_are_normalized(self, tmp_path):
+        path = write(tmp_path, "\ta  b\u00a0c \n d\u2028e\x0c\n", "m.txt")
+        corpus = read_mono(path)
+        assert isinstance(corpus, MonoCorpus)
+        assert corpus.lines == ["a b c", "d e"]
+
+    @pytest.mark.parametrize("token", ["a b", "", "\t", "a\u2028"])
+    def test_write_rejects_a_token_its_line_would_split(self, tmp_path, token):
+        # the token used to be written inside the joined line
+        out = tmp_path / "out.txt"
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"sentence 1, token 0: {token!r}")):
+            write_mono([["ok"], [token, "x"]], out)
+        assert not out.exists()
+
     def test_undecodable_byte_named_by_its_file_offset(self, tmp_path):
         # far past the text reader's first buffered chunk
         path = tmp_path / "m.txt"
@@ -78,6 +95,33 @@ class TestMono:
         with pytest.raises(DataFormatError,
                            match=f"m.txt: not valid UTF-8: byte 0xe9 at byte offset {offset}$"):
             read_mono(path)
+
+
+class TestMonoCorpus:
+    def test_items_are_token_lists(self):
+        corpus = MonoCorpus(["a b", "", "c"])
+        assert len(corpus) == 3
+        assert corpus[0] == ["a", "b"] and corpus[1] == [] and corpus[-1] == ["c"]
+        assert list(corpus) == [["a", "b"], [], ["c"]]
+        assert corpus[1:] == MonoCorpus(["", "c"]) and isinstance(corpus[1:], MonoCorpus)
+        with pytest.raises(IndexError):
+            corpus[3]
+
+    def test_of_joins_token_lists_and_keeps_a_corpus(self):
+        corpus = MonoCorpus.of([["a", "b"], [], ("c",)])
+        assert corpus.lines == ["a b", "", "c"]
+        assert MonoCorpus.of(corpus) is corpus
+
+    def test_equality_with_sequences_of_token_lists(self):
+        corpus = MonoCorpus(["a b", "c"])
+        assert corpus == [["a", "b"], ["c"]] and [["a", "b"], ["c"]] == corpus
+        assert corpus == MonoCorpus(["a b", "c"])
+        assert corpus != [["a", "b"]] and corpus != [["a", "b"], ["d"]]
+        assert corpus != MonoCorpus(["a", "b c"])
+        assert corpus != "a b" and corpus != 3
+
+    def test_repr_shows_the_lines(self):
+        assert repr(MonoCorpus(["a b"])) == "MonoCorpus(['a b'])"
 
 
 class TestParallel:

@@ -1,12 +1,14 @@
 import random
+import re
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import pos_corpus
-from lexsynth.corpus_io import LabeledCorpus, Schema
+import mono_oracle
+from conftest import TOKENS, pos_corpus
+from lexsynth.corpus_io import LabeledCorpus, MonoCorpus, Schema, read_mono, write_mono
 from lexsynth.errors import ValidationError
 from lexsynth.mix import build_joint_labeled, concat_shuffle, upsample_to_match
 
@@ -52,6 +54,11 @@ class TestUpsample:
         with pytest.raises(ValidationError):
             upsample_to_match([["a"]], 0, seed=1)
 
+    @pytest.mark.parametrize("token", ["a b", "", " ", "a\u00a0b", "a\n"])
+    def test_token_that_a_line_would_split_rejected(self, token):
+        with pytest.raises(ValidationError, match=re.escape(f"sentence 1, token 1: {token!r}")):
+            upsample_to_match([["x"], ["y", token]], 3, seed=1)
+
 
 class TestConcatShuffle:
     def test_multiset_preserved(self):
@@ -69,6 +76,19 @@ class TestConcatShuffle:
     def test_same_seed_same_permutation(self):
         corpora = [[[f"s{i}"] for i in range(100)]]
         assert concat_shuffle(corpora, seed=3) == concat_shuffle(corpora, seed=3)
+
+    @pytest.mark.parametrize("shuffle", [True, False])
+    def test_token_with_whitespace_is_not_resplit(self, shuffle):
+        # as a line, "a b" would come back as two tokens
+        with pytest.raises(ValidationError, match="sentence 0, token 0: 'a b'"):
+            concat_shuffle([[["a b"]]], 1, shuffle=shuffle)
+        with pytest.raises(ValidationError, match="sentence 2, token 1: ''"):
+            concat_shuffle([MonoCorpus(["x"]), [["y"], ["z"], ["w", "", "v"]]], 1, shuffle)
+
+    def test_mixes_line_backed_and_listed_corpora(self):
+        out = concat_shuffle([MonoCorpus(["a b"]), [["c"], ["d", "e"]]], seed=7, shuffle=False)
+        assert isinstance(out, MonoCorpus)
+        assert out.lines == ["a b", "c", "d e"]
 
 
 @given(st.lists(st.lists(st.lists(st.sampled_from("abc"), min_size=1, max_size=3),
@@ -90,6 +110,52 @@ def test_upsample_size_and_balance_property(gold_size, target, seed):
     counts = Counter(s[0] for s in out)
     values = [counts.get(f"s{i}", 0) for i in range(gold_size)]
     assert max(values) - min(values) <= 1
+
+
+# Whitespace that str.split breaks a line at but text-mode reading does not
+# end it at, between tokens and at either end of a line.
+SEPARATORS = st.sampled_from([" ", "  ", "\t", "\u00a0", "\u2028", " \t\u00a0", "\x0c"])
+EDGES = st.sampled_from(["", " ", "\t", "\u2028"])
+
+
+@st.composite
+def mono_texts(draw):
+    """A plain-text file with a BOM or not, LF, CRLF or CR line ends, and
+    blank and whitespace-only lines among the sentences."""
+    text = "\ufeff" if draw(st.booleans()) else ""
+    for _ in range(draw(st.integers(0, 8))):
+        line = draw(EDGES)
+        for n, token in enumerate(draw(st.lists(TOKENS, max_size=4))):
+            line += (draw(SEPARATORS) if n else "") + token
+        text += line + draw(EDGES) + draw(st.sampled_from(["\n", "\r\n", "\r", ""]))
+    return text
+
+
+@given(mono_texts(), mono_texts(), st.none() | st.integers(0, 6), st.integers(1, 30),
+       st.integers(-2**40, 2**40), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_mix_writes_the_list_references_bytes(tmp_path_factory, first, second, limit,
+                                              target, seed, shuffle):
+    tmp = tmp_path_factory.mktemp("mix")
+    a, b, got, want = (tmp / name for name in ("a.txt", "b.txt", "got.txt", "want.txt"))
+    a.write_bytes(first.encode("utf-8"))
+    b.write_bytes(second.encode("utf-8"))
+
+    def check(ours, reference):
+        write_mono(ours, got)
+        mono_oracle.write_mono(reference, want)
+        assert got.read_bytes() == want.read_bytes()
+
+    corpus, reference = read_mono(a, limit), mono_oracle.read_mono(a, limit)
+    check(corpus, reference)
+    check(concat_shuffle([corpus, read_mono(b)], seed, shuffle),
+          mono_oracle.concat_shuffle([reference, mono_oracle.read_mono(b)], seed, shuffle))
+    if reference:
+        check(upsample_to_match(corpus, target, seed),
+              mono_oracle.upsample_to_match(reference, target, seed))
+    else:
+        with pytest.raises(ValidationError, match="empty corpus"):
+            upsample_to_match(corpus, target, seed)
 
 
 class TestJointLabeled:

@@ -18,7 +18,7 @@ from conftest import (
 )
 from draw_oracle import draw
 from lexsynth import synth
-from lexsynth.corpus_io import LabeledCorpus, LabeledSentence, Schema
+from lexsynth.corpus_io import LabeledCorpus, LabeledSentence, MonoCorpus, Schema
 from lexsynth.errors import ValidationError
 from lexsynth.lexicon import Lexicon
 from lexsynth.synth import (
@@ -250,7 +250,9 @@ DRAW_WORDS = ["x", "X", "Bb", "bb", "BB", "One", "ONE", "Ħaġa", "two", "Two", 
 @settings(max_examples=300, deadline=None)
 def test_picks_match_reference_draw(seed, corpus):
     cfg = SynthesisConfig(seed=seed)
-    assert synth_mono(corpus, DRAW_LEX, cfg) == reference_synth(corpus, DRAW_LEX, cfg)
+    want = reference_synth(corpus, DRAW_LEX, cfg)
+    for given_corpus in (corpus, MonoCorpus.of(corpus)):
+        assert synth_mono(given_corpus, DRAW_LEX, cfg) == want
 
 
 @pytest.mark.parametrize("seed", [0, -1, 2**64 - 1, 2**64, -2**70, 2**70])
@@ -301,15 +303,18 @@ def test_blocked_core_matches_reference_loop(monkeypatch, block):
     assert coverage(labeled, single) == want_report
 
 
-def test_output_shares_token_strings():
-    # unreplaced tokens are the input's strings; spliced tokens are split
-    # once per candidate, not once per position
+def test_output_holds_one_line_per_sentence():
+    # a multi-token target takes the source word's place in the line
     lex = build_lexicon([("a", "pp qq")])
     corpus = [["keep", "a"], ["a", "me"]]
     out, _ = synth_mono(corpus, lex, SynthesisConfig(seed=1))
     assert out == [["keep", "pp", "qq"], ["pp", "qq", "me"]]
-    assert out[0][0] is corpus[0][0] and out[1][2] is corpus[1][1]
-    assert out[0][1] is out[1][0] and out[0][2] is out[1][1]
+    assert out.lines == ["keep pp qq", "pp qq me"]
+
+
+def test_input_token_its_line_would_split_rejected():
+    with pytest.raises(ValidationError, match="sentence 1, token 0: 'a b'"):
+        synth_mono([["x"], ["a b"]], build_lexicon([("x", "y")]), SynthesisConfig(seed=1))
 
 
 # Source words and their mixed-case spellings, next to words that are
