@@ -8,16 +8,24 @@ Formats handled:
     ``mix.upsample_to_match`` and ``mix.concat_shuffle`` return one too
   * parallel text: two line-aligned monolingual files
   * TwoColumn: one ``token<TAB>label`` line per token; extra tab-separated
-    columns are kept as passthrough rows for round-tripping
+    columns are kept for round-tripping
   * CoNLL-U: standard 10-column lines; comments, multiword-token range lines
     (ID like ``1-2``) and empty-node lines (ID like ``1.1``) are kept verbatim
-    as passthrough and excluded from the token sequence
+    and excluded from the token sequence
 
 In both labeled formats a sentence is a block of lines, and blocks are
 separated by blank or whitespace-only lines; ``_blocks`` is the one reader
-of that layout. A sentence without passthrough rows is written with default
+of that layout. Each sentence read keeps its block as one ``BlockRows``: the
+word lines split at tabs, every other line verbatim with its position, the
+format, and the fields that hold the token and its labels (``_columns``
+names them). ``write_labeled`` fills a sentence's tokens and labels into
+copies of those word rows; a sentence with no rows kept in the format and
+schema written (built in code, or read in the other format) gets default
 rows: ``token<TAB>label`` for TwoColumn, and for CoNLL-U the ID, FORM and
-``_`` in the other eight columns before the labels are filled in.
+``_`` in the other eight columns before the labels are filled in. A
+sentence whose tokens and kept word rows differ in number, or a label the
+format cannot hold (a tab, CR or LF; an empty TwoColumn label), is a
+``ValidationError`` before the file is opened.
 
 Inputs are UTF-8, opened through ``errors.open_input``: a leading
 byte-order mark is dropped, a byte that is not UTF-8 is a
@@ -41,8 +49,8 @@ TokenizedSentence = list[str]
 TokenizedCorpus = list[TokenizedSentence]
 ParallelCorpus = list[tuple[TokenizedSentence, TokenizedSentence]]
 
-# Lines ``write_mono`` joins into one write.
-_WRITE_LINES = 1024
+# Lines ``write_mono`` and blocks ``write_labeled`` join into one write.
+_WRITE_BATCH = 1024
 
 
 class Schema(enum.Enum):
@@ -57,20 +65,41 @@ class Format(enum.Enum):
 
 
 @dataclass
-class TwoColRows:
-    """Original field rows of a TwoColumn sentence, for exact round-trips."""
+class BlockRows:
+    """A labeled sentence's block of lines as read, for exact round-trips.
 
-    token_col: int
-    label_col: int
-    rows: list[list[str]]
+    ``words`` holds each word line split at tabs, one per token, all with as
+    many fields; ``other`` holds every other line verbatim with its position
+    in the block (CoNLL-U comments, multiword-token ranges and empty nodes);
+    ``columns`` are the fields that hold the token and then its labels (see
+    ``_columns``).
+    """
 
+    format: Format
+    columns: tuple[int, ...]
+    words: list[list[str]]
+    other: Sequence[tuple[int, str]] = ()
 
-@dataclass
-class ConlluRows:
-    """Sentence block rows: ("raw", line) for comments/ranges/empty nodes,
-    ("word", columns) for ordinary 10-column word lines."""
+    def _position(self, k: int) -> int:
+        """The block position of word line ``k``."""
+        for p, _ in self.other:
+            if p > k:
+                break
+            k += 1
+        return k
 
-    rows: list[tuple[str, object]]
+    def _text(self, values) -> str:
+        """The block's lines, each ending in LF: the word rows with
+        ``values[j]`` in field ``columns[j]``, and every other line at its
+        position. The rows themselves are not changed."""
+        fields = list(zip(*self.words))
+        for col, column in zip(self.columns, values):
+            fields[col] = column
+        lines = list(map("\t".join, zip(*fields)))
+        for p, line in self.other:
+            lines.insert(p, line)
+        lines.append("")
+        return "\n".join(lines)
 
 
 @dataclass
@@ -80,7 +109,7 @@ class LabeledSentence:
     labels: list[str] | None = None    # one tag per token (NER/POS)
     heads: list[int] | None = None     # DEP: 0 = root
     deprels: list[str] | None = None   # DEP
-    passthrough: TwoColRows | ConlluRows | None = None
+    passthrough: BlockRows | None = None
 
     def __post_init__(self):
         n = len(self.tokens)
@@ -205,8 +234,8 @@ def write_mono(corpus: MonoCorpus | TokenizedCorpus, path) -> None:
     """
     lines = MonoCorpus.of(corpus).lines
     with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        for lo in range(0, len(lines), _WRITE_LINES):
-            fh.write("\n".join(lines[lo:lo + _WRITE_LINES]) + "\n")
+        for lo in range(0, len(lines), _WRITE_BATCH):
+            fh.write("\n".join(lines[lo:lo + _WRITE_BATCH]) + "\n")
 
 
 class ParallelPairs(list):
@@ -253,6 +282,25 @@ def write_parallel(corpus: ParallelCorpus, src_path, tgt_path) -> None:
     write_mono([t for _, t in corpus], tgt_path)
 
 
+def _columns(format: Format, schema: Schema, token_col: int = 0, label_col: int = 1) -> tuple[int, ...]:
+    """The fields of a word line that hold the token and then its labels.
+
+    TwoColumn keeps them in ``token_col`` and ``label_col``, which must be
+    different and non-negative, since the writer puts the token and the
+    label back into them. CoNLL-U keeps FORM and UPOS for POS, and FORM,
+    HEAD and DEPREL for DEP.
+    """
+    if format is Format.TWO_COL:
+        if schema is Schema.DEP:
+            raise ValidationError("two-col carries no head/deprel columns; use conllu for dep")
+        if token_col < 0 or label_col < 0 or token_col == label_col:
+            raise ValidationError(f"token_col {token_col} and label_col {label_col} must differ and be >= 0")
+        return (token_col, label_col)
+    if schema is Schema.NER:
+        raise ValidationError("conllu carries no ner column; use two-col for ner")
+    return (1, 3) if schema is Schema.POS else (1, 6, 7)
+
+
 def read_labeled(
     path,
     schema: Schema,
@@ -260,72 +308,90 @@ def read_labeled(
     token_col: int = 0,
     label_col: int = 1,
 ) -> LabeledCorpus:
-    """Parse a labeled corpus in TwoColumn or CoNLL-U format."""
-    if format is Format.TWO_COL:
+    """Parse a labeled corpus in TwoColumn or CoNLL-U format.
+
+    ``token_col`` and ``label_col`` pick the TwoColumn fields; they must be
+    different and non-negative. Each sentence keeps its block's lines as
+    ``BlockRows``, so writing it back in the same format gives the same
+    bytes.
+    """
+    columns = _columns(format, schema, token_col, label_col)
+    token_col, *label_cols = columns
+    read_rows = _two_col_rows if format is Format.TWO_COL else _conllu_rows
+    sentences: list[LabeledSentence] = []
+    for first, rows in read_rows(path, columns):
+        words = rows.words
         if schema is Schema.DEP:
-            raise ValidationError("dep schema needs head/deprel columns; use the conllu format")
-        return _read_two_col(path, schema, token_col, label_col)
-    if schema is Schema.NER:
-        raise ValidationError("conllu carries no NER column; use the two-col format")
-    return _read_conllu(path, schema)
+            head_col, deprel_col = label_cols
+            heads: list[int] = []
+            for fields in words:
+                try:
+                    heads.append(int(fields[head_col]))
+                except ValueError:
+                    raise DataFormatError(
+                        f"non-integer HEAD {fields[head_col]!r}",
+                        path=path, line=first + rows._position(len(heads)),
+                    ) from None
+            labels = {"heads": heads, "deprels": [fields[deprel_col] for fields in words]}
+        else:
+            labels = {"labels": [fields[label_cols[0]] for fields in words]}
+        try:
+            sentences.append(LabeledSentence(
+                [fields[token_col] for fields in words], schema, passthrough=rows, **labels))
+        except ValidationError as exc:
+            raise DataFormatError(str(exc), path=path, line=first + rows._position(0)) from exc
+    return LabeledCorpus(schema, sentences)
 
 
 def _blocks(path):
-    """Yield each sentence block of a labeled file as (line number, line) pairs.
+    """Yield each sentence block of a labeled file as (first line number, lines).
 
-    Blocks are separated by blank or whitespace-only lines. Text mode has
+    Blocks are separated by blank or whitespace-only lines, so the line at
+    position p of a block is line ``first + p`` of the file. Text mode has
     already turned CRLF and CR line ends into LF.
     """
-    block: list[tuple[int, str]] = []
+    lines: list[str] = []
     with open_input(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if line.strip():
-                block.append((lineno, line))
-            elif block:
-                yield block
-                block = []
-    if block:
-        yield block
+                lines.append(line)
+            elif lines:
+                yield lineno - len(lines), lines
+                lines = []
+    if lines:
+        yield lineno + 1 - len(lines), lines
 
 
-def _sentence(path, line: int, tokens: list[str], schema: Schema, **columns) -> LabeledSentence:
-    """Build a sentence; a validation failure is a format error at ``line``."""
-    try:
-        return LabeledSentence(tokens, schema, **columns)
-    except ValidationError as exc:
-        raise DataFormatError(str(exc), path=path, line=line) from exc
+def _two_col_rows(path, columns: tuple[int, ...]):
+    """Yield (first line number, rows) for each TwoColumn block.
 
-
-def _read_two_col(path, schema: Schema, token_col: int, label_col: int) -> LabeledCorpus:
-    need = max(token_col, label_col) + 1
-    sentences: list[LabeledSentence] = []
+    Every line is a word line, every line of the file has as many fields as
+    the first, and the token and label fields are not empty.
+    """
+    token_col, label_col = columns
+    need = max(columns) + 1
     ncols: int | None = None
-    for block in _blocks(path):
-        rows: list[list[str]] = []
-        for lineno, line in block:
+    for first, lines in _blocks(path):
+        words: list[list[str]] = []
+        for line in lines:
             fields = line.split("\t")
             if ncols is None:
                 ncols = len(fields)
                 if ncols < need:
                     raise DataFormatError(
                         f"need at least {need} tab-separated columns, got {ncols}",
-                        path=path, line=lineno,
+                        path=path, line=first,
                     )
             if len(fields) != ncols:
                 raise DataFormatError(
                     f"inconsistent column count: expected {ncols}, got {len(fields)}",
-                    path=path, line=lineno,
+                    path=path, line=first + len(words),
                 )
             if not fields[token_col] or not fields[label_col]:
-                raise DataFormatError("empty token or label field", path=path, line=lineno)
-            rows.append(fields)
-        sentences.append(_sentence(
-            path, block[0][0], [r[token_col] for r in rows], schema,
-            labels=[r[label_col] for r in rows],
-            passthrough=TwoColRows(token_col, label_col, rows),
-        ))
-    return LabeledCorpus(schema, sentences)
+                raise DataFormatError("empty token or label field", path=path, line=first + len(words))
+            words.append(fields)
+        yield first, BlockRows(Format.TWO_COL, columns, words)
 
 
 _CONLLU_NCOLS = 10
@@ -339,103 +405,86 @@ def _is_range_or_empty_id(id_field: str) -> bool:
     )
 
 
-def _read_conllu(path, schema: Schema) -> LabeledCorpus:
-    sentences: list[LabeledSentence] = []
-    for block in _blocks(path):
-        rows: list[tuple[str, object]] = []
-        words: list[tuple[int, list[str]]] = []
-        for lineno, line in block:
+def _conllu_rows(path, columns: tuple[int, ...]):
+    """Yield (first line number, rows) for each CoNLL-U block.
+
+    Comments, multiword-token ranges and empty nodes are kept verbatim;
+    every other line must be a 10-column word line with an integer ID, and a
+    block must hold at least one.
+    """
+    for first, lines in _blocks(path):
+        words: list[list[str]] = []
+        other: list[tuple[int, str]] = []
+        for p, line in enumerate(lines):
             if line.startswith("#"):
-                rows.append(("raw", line))
+                other.append((p, line))
                 continue
-            cols = line.split("\t")
-            if len(cols) != _CONLLU_NCOLS:
+            fields = line.split("\t")
+            if len(fields) != _CONLLU_NCOLS:
                 raise DataFormatError(
-                    f"expected {_CONLLU_NCOLS} columns, got {len(cols)}",
-                    path=path, line=lineno,
+                    f"expected {_CONLLU_NCOLS} columns, got {len(fields)}",
+                    path=path, line=first + p,
                 )
-            if cols[0].isdigit():
-                rows.append(("word", cols))
-                words.append((lineno, cols))
-            elif _is_range_or_empty_id(cols[0]):
-                rows.append(("raw", line))
+            if fields[0].isdigit():
+                words.append(fields)
+            elif _is_range_or_empty_id(fields[0]):
+                other.append((p, line))
             else:
-                raise DataFormatError(f"bad ID field {cols[0]!r}", path=path, line=lineno)
+                raise DataFormatError(f"bad ID field {fields[0]!r}", path=path, line=first + p)
         if not words:
-            raise DataFormatError("sentence block has no word lines", path=path, line=block[0][0])
-        if schema is Schema.POS:
-            columns = {"labels": [cols[3] for _, cols in words]}
-        else:
-            heads = []
-            for lineno, cols in words:
-                try:
-                    heads.append(int(cols[6]))
-                except ValueError:
-                    raise DataFormatError(
-                        f"non-integer HEAD {cols[6]!r}", path=path, line=lineno
-                    ) from None
-            columns = {"heads": heads, "deprels": [cols[7] for _, cols in words]}
-        sentences.append(_sentence(
-            path, words[0][0], [cols[1] for _, cols in words], schema,
-            passthrough=ConlluRows(rows), **columns,
-        ))
-    return LabeledCorpus(schema, sentences)
+            raise DataFormatError("sentence block has no word lines", path=path, line=first)
+        yield first, BlockRows(Format.CONLLU, columns, words, other)
+
+
+def _unwritable(labels, two_col: bool) -> bool:
+    """True when a label holds a tab, CR or LF, which end a field or a line,
+    or is empty in TwoColumn."""
+    text = "".join(labels)
+    return "\t" in text or "\r" in text or "\n" in text or (two_col and "" in labels)
 
 
 def write_labeled(corpus: LabeledCorpus, path, format: Format = Format.TWO_COL) -> None:
-    """Serialize a labeled corpus, preserving passthrough rows exactly."""
-    if format is Format.TWO_COL:
-        if corpus.schema is Schema.DEP:
-            raise ValidationError("dep corpora cannot be written as two-col; use conllu")
-        _write_two_col(corpus, path)
-    else:
-        if corpus.schema is Schema.NER:
-            raise ValidationError("ner corpora cannot be written as conllu; use two-col")
-        _write_conllu(corpus, path)
+    """Serialize a labeled corpus, keeping the rows each sentence was read with.
 
-
-def _write_two_col(corpus: LabeledCorpus, path) -> None:
-    blocks = []
-    for sent in corpus.sentences:
-        pt = sent.passthrough
-        if not isinstance(pt, TwoColRows):
-            pt = TwoColRows(0, 1, [list(row) for row in zip(sent.tokens, sent.labels)])
-        lines = []
-        for i, token in enumerate(sent.tokens):
-            fields = pt.rows[i].copy()
-            fields[pt.token_col] = token
-            fields[pt.label_col] = sent.labels[i]
-            lines.append("\t".join(fields))
-        blocks.append("\n".join(lines))
+    A sentence whose ``BlockRows`` were read in this format and schema gets
+    its tokens and labels filled into copies of its word rows, with every
+    other line back in place; any other sentence gets default rows. Before
+    the file is opened, a ``ValidationError`` names the first sentence whose
+    kept word rows differ in number from its tokens, or whose label (DEP:
+    deprel) holds a tab, CR or LF, or is empty in TwoColumn: such a file
+    would read back differently.
+    """
+    columns = _columns(format, corpus.schema)
+    dep = corpus.schema is Schema.DEP
+    two_col = format is Format.TWO_COL
+    kept = []
+    for k, sent in enumerate(corpus.sentences):
+        rows = sent.passthrough
+        if rows is None or rows.format is not format or len(rows.columns) != len(columns):
+            rows = None
+        elif len(rows.words) != len(sent.tokens):
+            raise ValidationError(f"sentence {k}: {len(sent.tokens)} tokens but {len(rows.words)} word rows")
+        labels = sent.deprels if dep else sent.labels
+        if _unwritable(labels, two_col):
+            i = next(i for i, label in enumerate(labels) if _unwritable([label], two_col))
+            raise ValidationError(f"sentence {k}, token {i}: {format.value} cannot hold the label {labels[i]!r}")
+        kept.append(rows)
+    # TwoColumn puts a blank line between blocks; CoNLL-U ends each with one.
+    lead, end = ("\n", "") if two_col else ("", "\n")
     with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n\n".join(blocks))
-        if blocks:
-            fh.write("\n")
-
-
-def _write_conllu(corpus: LabeledCorpus, path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        for sent in corpus.sentences:
-            if isinstance(sent.passthrough, ConlluRows):
-                rows = sent.passthrough.rows
-            else:
-                rows = [("word", [str(i), token] + ["_"] * 8)
-                        for i, token in enumerate(sent.tokens, start=1)]
-            i = 0
-            for kind, payload in rows:
-                if kind == "raw":
-                    fh.write(payload + "\n")
-                    continue
-                cols = list(payload)
-                cols[1] = sent.tokens[i]
-                if corpus.schema is Schema.POS:
-                    cols[3] = sent.labels[i]
+        for lo in range(0, len(kept), _WRITE_BATCH):
+            texts = []
+            for sent, rows in zip(corpus.sentences[lo:lo + _WRITE_BATCH], kept[lo:lo + _WRITE_BATCH]):
+                if rows is None:  # token<TAB>label, or a CoNLL-U ID and _ in the other fields
+                    n = len(sent.tokens)
+                    words = [["", ""]] * n if two_col else [[str(i)] + ["_"] * 9 for i in range(1, n + 1)]
+                    rows = BlockRows(format, columns, words)
+                if dep:
+                    values = (sent.tokens, map(str, sent.heads), sent.deprels)
                 else:
-                    cols[6] = str(sent.heads[i])
-                    cols[7] = sent.deprels[i]
-                fh.write("\t".join(cols) + "\n")
-                i += 1
-            fh.write("\n")
+                    values = (sent.tokens, sent.labels)
+                texts.append(rows._text(values))
+            fh.write((lead if lo else "") + "\n".join(texts) + end)
 
 
 def sniff_format(path) -> Format:

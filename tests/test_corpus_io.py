@@ -1,5 +1,6 @@
 import logging
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -7,12 +8,12 @@ from hypothesis import strategies as st
 
 from conftest import BOM, FIELDS, TOKENS
 from lexsynth.corpus_io import (
+    BlockRows,
     Format,
     LabeledCorpus,
     LabeledSentence,
     MonoCorpus,
     Schema,
-    TwoColRows,
     read_labeled,
     read_mono,
     read_parallel,
@@ -245,8 +246,9 @@ class TestConllu:
         sent = corpus.sentences[0]
         assert sent.tokens == ["We", "suspect", "it"]
         assert sent.labels == ["PRON", "VERB", "PRON"]
-        raw = [p for kind, p in sent.passthrough.rows if kind == "raw"]
-        assert len(raw) == 4  # two comments, one range line, one empty node
+        # two comments, one range line and one empty node, in place
+        assert [p for p, _ in sent.passthrough.other] == [0, 1, 2, 5]
+        assert [fields[1] for fields in sent.passthrough.words] == sent.tokens
 
     def test_dep_parse(self, tmp_path):
         corpus = read_labeled(write(tmp_path, CONLLU, "x.conllu"), Schema.DEP, Format.CONLLU)
@@ -289,7 +291,7 @@ class TestConllu:
         path = write(tmp_path, "\ufeff" + CONLLU, "x.conllu")
         assert sniff_format(path) is Format.CONLLU
         corpus = read_labeled(path, Schema.POS, Format.CONLLU)
-        assert corpus.sentences[0].passthrough.rows[0] == ("raw", CONLLU.splitlines()[0])
+        assert corpus.sentences[0].passthrough.other[0] == (0, CONLLU.splitlines()[0])
 
     def test_write_without_passthrough(self, tmp_path):
         sent = LabeledSentence(["a", "b"], Schema.DEP, heads=[2, 0], deprels=["nsubj", "root"])
@@ -331,7 +333,7 @@ class TestConllu:
         path = write(tmp_path, WORD + line + "\n", "x.conllu")
         sent = read_labeled(path, Schema.POS, Format.CONLLU).sentences[0]
         assert sent.tokens == ["We"]
-        assert sent.passthrough.rows[1] == ("raw", line)
+        assert sent.passthrough.other == [(1, line)]
 
     @pytest.mark.parametrize(
         "id_field", ["1-2-3", "1.2.3", "1-2.3", "1.2-3", "-1", "1-", ".1", "1.", "a", ""])
@@ -346,6 +348,107 @@ class TestConllu:
         corpus = read_labeled(path, Schema.DEP, Format.CONLLU)
         assert len(corpus) == 2
         assert corpus == read_labeled(again, Schema.DEP, Format.CONLLU)
+
+
+class TestWriteChecks:
+    """``write_labeled`` refuses, before the file is opened, what it could
+    not write so that it reads back the same."""
+
+    @pytest.mark.parametrize("fmt, text, name", [
+        (Format.TWO_COL, TWO_COL, "x.tsv"),
+        (Format.CONLLU, CONLLU, "x.conllu"),
+    ], ids=["two-col", "conllu"])
+    @pytest.mark.parametrize("grow", [True, False], ids=["more-tokens", "fewer-tokens"])
+    def test_tokens_and_kept_word_rows_must_match_in_number(self, tmp_path, fmt, text, name, grow):
+        # a token beyond the kept rows used to be lost (CoNLL-U) or raise IndexError (TwoColumn)
+        corpus = read_labeled(write(tmp_path, text + text, name), Schema.POS, fmt)
+        sent = corpus.sentences[1]
+        if grow:
+            changed = replace(sent, tokens=sent.tokens + ["x"], labels=sent.labels + ["X"])
+        else:
+            changed = replace(sent, tokens=sent.tokens[:-1], labels=sent.labels[:-1])
+        corpus.sentences[1] = changed
+        out = tmp_path / "out"
+        with pytest.raises(ValidationError, match=(
+                f"sentence 1: {len(changed.tokens)} tokens but {len(sent.tokens)} word rows")):
+            write_labeled(corpus, out, fmt)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fmt, schema, label", [
+        (Format.TWO_COL, Schema.NER, "X\tY"),
+        (Format.TWO_COL, Schema.POS, "X\nY"),
+        (Format.TWO_COL, Schema.POS, "X\rY"),
+        (Format.TWO_COL, Schema.NER, ""),
+        (Format.CONLLU, Schema.POS, "X\tY"),
+        (Format.CONLLU, Schema.POS, "\n"),
+        (Format.CONLLU, Schema.DEP, "root\tx"),
+        (Format.CONLLU, Schema.DEP, "\r"),
+    ])
+    def test_labels_the_format_cannot_hold_are_rejected(self, tmp_path, fmt, schema, label):
+        # "X\tY" used to be written and read back as "X"; a DEPREL with a tab
+        # gave a file with 11 columns
+        def sentence(labels):
+            if schema is Schema.DEP:
+                return LabeledSentence(["a", "b"], schema, heads=[0, 1], deprels=labels)
+            return LabeledSentence(["a", "b"], schema, labels=labels)
+
+        corpus = LabeledCorpus(schema, [sentence(["A", "B"]), sentence(["A", label])])
+        out = tmp_path / "out"
+        with pytest.raises(ValidationError, match=re.escape(
+                f"sentence 1, token 1: {fmt.value} cannot hold the label {label!r}")):
+            write_labeled(corpus, out, fmt)
+        assert not out.exists()
+
+    def test_conllu_labels_may_be_empty(self, tmp_path):
+        corpus = LabeledCorpus(Schema.POS, [LabeledSentence(["a"], Schema.POS, labels=[""])])
+        out = tmp_path / "out.conllu"
+        write_labeled(corpus, out, Format.CONLLU)
+        assert out.read_text(encoding="utf-8") == "1\ta\t_\t\t_\t_\t_\t_\t_\t_\n\n"
+        assert read_labeled(out, Schema.POS, Format.CONLLU).sentences[0].labels == [""]
+
+    @pytest.mark.parametrize("token_col, label_col", [(0, 0), (1, 1), (-1, 1), (0, -1), (-2, -1)])
+    def test_token_and_label_columns_must_differ_and_be_non_negative(
+            self, tmp_path, token_col, label_col):
+        # token_col=-1, label_col=1 on a two-field file named one field twice,
+        # so the synthesized token was overwritten by the label on writing
+        path = write(tmp_path, "a\tX\n", "x.tsv")
+        with pytest.raises(ValidationError, match=re.escape(
+                f"token_col {token_col} and label_col {label_col} must differ and be >= 0")):
+            read_labeled(path, Schema.NER, token_col=token_col, label_col=label_col)
+
+
+class TestCrossFormat:
+    """A sentence written in the other format than it was read in gets
+    default rows, not the rows it was read with."""
+
+    def test_two_col_written_as_conllu(self, tmp_path):
+        path = write(tmp_path, "I\tPRP\tPRON\n\nwar\tNN\tNOUN\n", "x.tsv")
+        corpus = read_labeled(path, Schema.POS, label_col=2)
+        out = tmp_path / "out.conllu"
+        write_labeled(corpus, out, Format.CONLLU)
+        assert out.read_text(encoding="utf-8") == (
+            "1\tI\t_\tPRON\t_\t_\t_\t_\t_\t_\n\n"
+            "1\twar\t_\tNOUN\t_\t_\t_\t_\t_\t_\n\n"
+        )
+
+    def test_conllu_written_as_two_col(self, tmp_path):
+        corpus = read_labeled(write(tmp_path, CONLLU + CONLLU, "x.conllu"), Schema.POS, Format.CONLLU)
+        out = tmp_path / "out.tsv"
+        write_labeled(corpus, out, Format.TWO_COL)
+        block = "We\tPRON\nsuspect\tVERB\nit\tPRON\n"
+        assert out.read_text(encoding="utf-8") == block + "\n" + block
+
+    def test_rows_of_another_schema_are_not_reused(self, tmp_path):
+        # POS rows fill FORM and UPOS only; a DEP corpus writes its own
+        pos = read_labeled(write(tmp_path, CONLLU, "x.conllu"), Schema.POS, Format.CONLLU)
+        sent = LabeledSentence(["a", "b"], Schema.DEP, heads=[2, 0], deprels=["nsubj", "root"],
+                               passthrough=replace(pos.sentences[0].passthrough,
+                                                   words=pos.sentences[0].passthrough.words[:2]))
+        out = tmp_path / "out.conllu"
+        write_labeled(LabeledCorpus(Schema.DEP, [sent]), out, Format.CONLLU)
+        assert out.read_text(encoding="utf-8") == (
+            "1\ta\t_\t_\t_\t_\t2\tnsubj\t_\t_\n2\tb\t_\t_\t_\t_\t0\troot\t_\t_\n\n"
+        )
 
 
 class TestValidation:
@@ -463,7 +566,8 @@ def two_col_corpora(draw):
     for rows in draw(st.lists(st.lists(row, min_size=1, max_size=4), max_size=4)):
         sentences.append(LabeledSentence(
             [token for token, _, _ in rows], schema, labels=[label for _, label, _ in rows],
-            passthrough=TwoColRows(0, 1, [[token, label, *more] for token, label, more in rows])))
+            passthrough=BlockRows(Format.TWO_COL, (0, 1),
+                                  [[token, label, *more] for token, label, more in rows])))
     return LabeledCorpus(schema, sentences)
 
 
@@ -484,6 +588,54 @@ def conllu_corpora(draw):
     return LabeledCorpus(schema, sentences)
 
 
+@st.composite
+def conllu_texts(draw):
+    """CoNLL-U text read as POS or DEP: word lines with any fields but the
+    token, among comments, multiword-token ranges and empty nodes, each block
+    ending with a blank line as the writer ends it.
+
+    The writer puts ``str(head)`` back, so a DEP HEAD is written that way.
+    """
+    schema = draw(st.sampled_from([Schema.POS, Schema.DEP]))
+    rest = st.lists(FIELDS, min_size=8, max_size=8)
+    comment = st.text(st.characters(codec="utf-8", exclude_characters="\r\n"), max_size=6)
+    blocks = []
+    for _ in range(draw(st.integers(0, 4))):
+        n = draw(st.integers(1, 4))
+        lines = []
+        for i in range(1, n + 1):
+            form, (lemma, upos, xpos, feats, head, deprel, deps, misc) = draw(TOKENS), draw(rest)
+            if schema is Schema.DEP:
+                head = str(draw(st.integers(0, n)))
+            lines.append("\t".join([str(i), form, lemma, upos, xpos, feats, head, deprel, deps, misc]))
+        others = st.one_of(
+            comment.map(lambda text: "#" + text),
+            st.tuples(st.integers(1, n), st.integers(1, n), rest, FIELDS).map(
+                lambda r: "\t".join([f"{r[0]}-{r[1]}", r[3], *r[2][:7], r[3]])),
+            st.tuples(st.integers(0, n), st.integers(1, 9), rest, FIELDS).map(
+                lambda r: "\t".join([f"{r[0]}.{r[1]}", r[3], *r[2]])),
+        )
+        for line in draw(st.lists(others, max_size=4)):
+            lines.insert(draw(st.integers(0, len(lines))), line)
+        blocks.append("\n".join(lines) + "\n\n")
+    return schema, "".join(blocks)
+
+
+@given(conllu_texts())
+@settings(max_examples=200, deadline=None)
+def test_conllu_text_round_trip(tmp_path_factory, case):
+    """Reading CoNLL-U and writing it back gives the same bytes, with every
+    comment, range and empty-node line in place."""
+    schema, text = case
+    tmp = tmp_path_factory.mktemp("conllu-text")
+    original = tmp / "x.conllu"
+    original.write_bytes(text.encode("utf-8"))
+    corpus = read_labeled(original, schema, Format.CONLLU)
+    out = tmp / "out.conllu"
+    write_labeled(corpus, out, Format.CONLLU)
+    assert out.read_bytes() == original.read_bytes()
+
+
 def assert_labeled_round_trip(path, corpus, fmt):
     write_labeled(corpus, path, fmt)
     text = written_text(path)
@@ -491,8 +643,8 @@ def assert_labeled_round_trip(path, corpus, fmt):
     assert [(s.tokens, s.labels, s.heads, s.deprels) for s in again.sentences] == [
         (s.tokens, s.labels, s.heads, s.deprels) for s in corpus.sentences]
     if fmt is Format.TWO_COL:
-        assert [s.passthrough.rows for s in again.sentences] == [
-            s.passthrough.rows for s in corpus.sentences]
+        assert [s.passthrough for s in again.sentences] == [
+            s.passthrough for s in corpus.sentences]
     write_labeled(again, path, fmt)  # now from the rows kept on reading
     assert path.read_text(encoding="utf-8") == text
 
