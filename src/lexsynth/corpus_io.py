@@ -16,15 +16,18 @@ Formats handled:
 In both labeled formats a sentence is a block of lines, and blocks are
 separated by blank or whitespace-only lines; ``_blocks`` is the one reader
 of that layout. Each sentence read keeps its block as one ``BlockRows``: the
-word lines split at tabs, every other line verbatim with its position, the
-format, and the fields that hold the token and its labels (``_columns``
-names them). ``write_labeled`` fills a sentence's tokens and labels into
-copies of those word rows; a sentence with no rows kept in the format and
-schema written (built in code, or read in the other format) gets default
-rows: ``token<TAB>label`` for TwoColumn, and for CoNLL-U the ID, FORM and
-``_`` in the other eight columns before the labels are filled in. A
-sentence whose tokens and kept word rows differ in number, or a label the
-format cannot hold (a tab, CR or LF; an empty TwoColumn label), is a
+lines verbatim, the position of each word line among them, the format, and
+the fields that hold the token and its labels (``_columns`` names them).
+The readers split each word line at tabs to check it and to take the token
+and labels; the split fields are not kept. ``write_labeled`` splits the
+word lines again to fill in a sentence's tokens and labels, and copies
+every other line unchanged; a sentence with no lines kept in the format
+and schema written (built in code, or read in the other format) gets
+default lines: ``token<TAB>label`` for TwoColumn, and for CoNLL-U the ID,
+FORM and ``_`` in the other eight columns before the labels are filled in.
+A sentence whose tokens and kept word lines differ in number, a label the
+format cannot hold (a tab, CR or LF; an empty TwoColumn label), or
+TwoColumn sentences whose lines would differ in column count are a
 ``ValidationError`` before the file is opened.
 
 Inputs are UTF-8, opened through ``errors.open_input``: a leading
@@ -68,36 +71,31 @@ class Format(enum.Enum):
 class BlockRows:
     """A labeled sentence's block of lines as read, for exact round-trips.
 
-    ``words`` holds each word line split at tabs, one per token, all with as
-    many fields; ``other`` holds every other line verbatim with its position
-    in the block (CoNLL-U comments, multiword-token ranges and empty nodes);
-    ``columns`` are the fields that hold the token and then its labels (see
-    ``_columns``).
+    ``lines`` are the block's lines verbatim, without line ends;
+    ``word_lines`` holds the position in ``lines`` of each word line, one
+    per token (every other line is a CoNLL-U comment, multiword-token range
+    or empty node); ``columns`` are the fields of a word line that hold the
+    token and then its labels (see ``_columns``). Every word line has as
+    many tab-separated fields.
     """
 
     format: Format
     columns: tuple[int, ...]
-    words: list[list[str]]
-    other: Sequence[tuple[int, str]] = ()
-
-    def _position(self, k: int) -> int:
-        """The block position of word line ``k``."""
-        for p, _ in self.other:
-            if p > k:
-                break
-            k += 1
-        return k
+    lines: list[str]
+    word_lines: Sequence[int]
 
     def _text(self, values) -> str:
-        """The block's lines, each ending in LF: the word rows with
-        ``values[j]`` in field ``columns[j]``, and every other line at its
-        position. The rows themselves are not changed."""
-        fields = list(zip(*self.words))
+        """The block's lines, each ending in LF: each word line with
+        ``values[j]`` in field ``columns[j]``, every other line as it is.
+        ``lines`` itself is not changed. Word lines are split only up to the
+        last field filled; the rest of each is put back as one piece."""
+        lines = self.lines.copy()
+        cut = max(self.columns) + 1
+        fields = list(zip(*[lines[p].split("\t", cut) for p in self.word_lines]))
         for col, column in zip(self.columns, values):
             fields[col] = column
-        lines = list(map("\t".join, zip(*fields)))
-        for p, line in self.other:
-            lines.insert(p, line)
+        for p, line in zip(self.word_lines, map("\t".join, zip(*fields))):
+            lines[p] = line
         lines.append("")
         return "\n".join(lines)
 
@@ -116,7 +114,7 @@ class LabeledSentence:
         if n == 0:
             raise ValidationError("labeled sentence must have at least one token")
         for t in self.tokens:
-            if not t or len(t.split()) != 1:
+            if t.split() != [t]:
                 raise ValidationError(f"bad token {t!r}: tokens must be non-empty without whitespace")
         if self.schema in (Schema.NER, Schema.POS):
             if self.labels is None or len(self.labels) != n:
@@ -319,8 +317,7 @@ def read_labeled(
     token_col, *label_cols = columns
     read_rows = _two_col_rows if format is Format.TWO_COL else _conllu_rows
     sentences: list[LabeledSentence] = []
-    for first, rows in read_rows(path, columns):
-        words = rows.words
+    for first, rows, words in read_rows(path, columns):
         if schema is Schema.DEP:
             head_col, deprel_col = label_cols
             heads: list[int] = []
@@ -330,16 +327,17 @@ def read_labeled(
                 except ValueError:
                     raise DataFormatError(
                         f"non-integer HEAD {fields[head_col]!r}",
-                        path=path, line=first + rows._position(len(heads)),
+                        path=path, line=first + rows.word_lines[len(heads)],
                     ) from None
             labels = {"heads": heads, "deprels": [fields[deprel_col] for fields in words]}
         else:
             labels = {"labels": [fields[label_cols[0]] for fields in words]}
+        tokens = [fields[token_col] for fields in words]
         try:
-            sentences.append(LabeledSentence(
-                [fields[token_col] for fields in words], schema, passthrough=rows, **labels))
+            sentences.append(LabeledSentence(tokens, schema, passthrough=rows, **labels))
         except ValidationError as exc:
-            raise DataFormatError(str(exc), path=path, line=first + rows._position(0)) from exc
+            bad = next((i for i, t in enumerate(tokens) if t.split() != [t]), 0)
+            raise DataFormatError(str(exc), path=path, line=first + rows.word_lines[bad]) from exc
     return LabeledCorpus(schema, sentences)
 
 
@@ -364,7 +362,8 @@ def _blocks(path):
 
 
 def _two_col_rows(path, columns: tuple[int, ...]):
-    """Yield (first line number, rows) for each TwoColumn block.
+    """Yield (first line number, rows, fields) for each TwoColumn block,
+    ``fields`` holding each word line split at tabs.
 
     Every line is a word line, every line of the file has as many fields as
     the first, and the token and label fields are not empty.
@@ -391,7 +390,7 @@ def _two_col_rows(path, columns: tuple[int, ...]):
             if not fields[token_col] or not fields[label_col]:
                 raise DataFormatError("empty token or label field", path=path, line=first + len(words))
             words.append(fields)
-        yield first, BlockRows(Format.TWO_COL, columns, words)
+        yield first, BlockRows(Format.TWO_COL, columns, lines, range(len(lines))), words
 
 
 _CONLLU_NCOLS = 10
@@ -406,7 +405,8 @@ def _is_range_or_empty_id(id_field: str) -> bool:
 
 
 def _conllu_rows(path, columns: tuple[int, ...]):
-    """Yield (first line number, rows) for each CoNLL-U block.
+    """Yield (first line number, rows, fields) for each CoNLL-U block,
+    ``fields`` holding each word line split at tabs.
 
     Comments, multiword-token ranges and empty nodes are kept verbatim;
     every other line must be a 10-column word line with an integer ID, and a
@@ -414,10 +414,9 @@ def _conllu_rows(path, columns: tuple[int, ...]):
     """
     for first, lines in _blocks(path):
         words: list[list[str]] = []
-        other: list[tuple[int, str]] = []
+        word_lines: list[int] = []
         for p, line in enumerate(lines):
             if line.startswith("#"):
-                other.append((p, line))
                 continue
             fields = line.split("\t")
             if len(fields) != _CONLLU_NCOLS:
@@ -427,13 +426,12 @@ def _conllu_rows(path, columns: tuple[int, ...]):
                 )
             if fields[0].isdigit():
                 words.append(fields)
-            elif _is_range_or_empty_id(fields[0]):
-                other.append((p, line))
-            else:
+                word_lines.append(p)
+            elif not _is_range_or_empty_id(fields[0]):
                 raise DataFormatError(f"bad ID field {fields[0]!r}", path=path, line=first + p)
         if not words:
             raise DataFormatError("sentence block has no word lines", path=path, line=first)
-        yield first, BlockRows(Format.CONLLU, columns, words, other)
+        yield first, BlockRows(Format.CONLLU, columns, lines, word_lines), words
 
 
 def _unwritable(labels, two_col: bool) -> bool:
@@ -447,12 +445,13 @@ def write_labeled(corpus: LabeledCorpus, path, format: Format = Format.TWO_COL) 
     """Serialize a labeled corpus, keeping the rows each sentence was read with.
 
     A sentence whose ``BlockRows`` were read in this format and schema gets
-    its tokens and labels filled into copies of its word rows, with every
-    other line back in place; any other sentence gets default rows. Before
-    the file is opened, a ``ValidationError`` names the first sentence whose
-    kept word rows differ in number from its tokens, or whose label (DEP:
-    deprel) holds a tab, CR or LF, or is empty in TwoColumn: such a file
-    would read back differently.
+    its tokens and labels filled into copies of its word lines, with every
+    other line as it was; any other sentence gets default lines. Before the
+    file is opened, a ``ValidationError`` names the first sentence whose
+    kept word lines differ in number from its tokens, whose label (DEP:
+    deprel) holds a tab, CR or LF, or is empty in TwoColumn, or whose
+    TwoColumn lines would have another column count than the first
+    sentence's: such a file would read back differently, or not at all.
     """
     columns = _columns(format, corpus.schema)
     dep = corpus.schema is Schema.DEP
@@ -462,13 +461,19 @@ def write_labeled(corpus: LabeledCorpus, path, format: Format = Format.TWO_COL) 
         rows = sent.passthrough
         if rows is None or rows.format is not format or len(rows.columns) != len(columns):
             rows = None
-        elif len(rows.words) != len(sent.tokens):
-            raise ValidationError(f"sentence {k}: {len(sent.tokens)} tokens but {len(rows.words)} word rows")
+        elif len(rows.word_lines) != len(sent.tokens):
+            raise ValidationError(f"sentence {k}: {len(sent.tokens)} tokens but {len(rows.word_lines)} word rows")
         labels = sent.deprels if dep else sent.labels
         if _unwritable(labels, two_col):
             i = next(i for i, label in enumerate(labels) if _unwritable([label], two_col))
             raise ValidationError(f"sentence {k}, token {i}: {format.value} cannot hold the label {labels[i]!r}")
         kept.append(rows)
+    if two_col:
+        widths = [rows.lines[0].count("\t") + 1 if rows else 2 for rows in kept]
+        k = next((k for k, width in enumerate(widths) if width != widths[0]), None)
+        if k is not None:
+            raise ValidationError(f"sentence {k} has {widths[k]} two-col columns but sentence 0 has "
+                                  f"{widths[0]}; one file holds one column count")
     # TwoColumn puts a blank line between blocks; CoNLL-U ends each with one.
     lead, end = ("\n", "") if two_col else ("", "\n")
     with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
@@ -477,8 +482,8 @@ def write_labeled(corpus: LabeledCorpus, path, format: Format = Format.TWO_COL) 
             for sent, rows in zip(corpus.sentences[lo:lo + _WRITE_BATCH], kept[lo:lo + _WRITE_BATCH]):
                 if rows is None:  # token<TAB>label, or a CoNLL-U ID and _ in the other fields
                     n = len(sent.tokens)
-                    words = [["", ""]] * n if two_col else [[str(i)] + ["_"] * 9 for i in range(1, n + 1)]
-                    rows = BlockRows(format, columns, words)
+                    lines = ["\t"] * n if two_col else [str(i) + "\t_" * 9 for i in range(1, n + 1)]
+                    rows = BlockRows(format, columns, lines, range(n))
                 if dep:
                     values = (sent.tokens, map(str, sent.heads), sent.deprels)
                 else:

@@ -51,7 +51,7 @@ class LexiconEntry:
     provenance: Provenance = Provenance.BASE
 
     def __post_init__(self):
-        if not self.source or len(self.source.split()) != 1:
+        if self.source.split() != [self.source]:
             raise ValidationError(f"lexicon source must be a single non-empty token: {self.source!r}")
         if not self.target or not self.target.split():
             raise ValidationError(f"lexicon target must be non-empty: {self.target!r}")
@@ -158,7 +158,7 @@ def load_lexicon(path, mode: LoadMode = LoadMode.ALLOW_MULTI_TOKEN) -> tuple[Lex
             source, target = fields[0].strip(), fields[1].strip()
             if not source or not target:
                 raise DataFormatError("empty source or target field", path=path, line=lineno)
-            if len(source.split()) != 1:
+            if source.split() != [source]:
                 dropped += 1
                 continue
             if mode is LoadMode.SINGLE_TOKEN_ONLY and len(target.split()) > 1:

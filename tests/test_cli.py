@@ -431,6 +431,17 @@ class TestMixCommands:
                      "--out", str(out)]) == 0
         assert out.read_text(encoding="utf-8") == "a\tNOUN\nb\tVERB\n\nx\tNOUN\ny\tVERB\n"
 
+    def test_joint_labeled_of_two_column_counts_is_rejected(self, tmp_path, capsys):
+        # used to exit 0 with a joint.tsv that read_labeled rejects
+        gold = tmp_path / "gold.tsv"
+        gold.write_text("a\tO\tx\tm\nb\tO\ty\tn\n", encoding="utf-8")
+        pseudo = two_col_file(tmp_path, "c", "O", "pseudo.tsv")
+        out = tmp_path / "joint.tsv"
+        assert main(["mix", "joint-labeled", "--gold", str(gold), "--pseudo", str(pseudo),
+                     "--out", str(out), "--format", "two-col", "--schema", "ner"]) == 3
+        assert "sentence 1 has 2 two-col columns but sentence 0 has 4" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["gold.tsv", "pseudo.tsv"]
+
 
 class TestReportCommand:
     def test_pos_dist_json(self, tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import labeled_oracle
 from conftest import BOM, FIELDS, TOKENS
 from lexsynth.corpus_io import (
     BlockRows,
@@ -247,8 +248,10 @@ class TestConllu:
         assert sent.tokens == ["We", "suspect", "it"]
         assert sent.labels == ["PRON", "VERB", "PRON"]
         # two comments, one range line and one empty node, in place
-        assert [p for p, _ in sent.passthrough.other] == [0, 1, 2, 5]
-        assert [fields[1] for fields in sent.passthrough.words] == sent.tokens
+        assert sent.passthrough.lines == CONLLU.splitlines()[:-1]
+        assert sent.passthrough.word_lines == [3, 4, 6]
+        assert [sent.passthrough.lines[p].split("\t")[1]
+                for p in sent.passthrough.word_lines] == sent.tokens
 
     def test_dep_parse(self, tmp_path):
         corpus = read_labeled(write(tmp_path, CONLLU, "x.conllu"), Schema.DEP, Format.CONLLU)
@@ -291,7 +294,8 @@ class TestConllu:
         path = write(tmp_path, "\ufeff" + CONLLU, "x.conllu")
         assert sniff_format(path) is Format.CONLLU
         corpus = read_labeled(path, Schema.POS, Format.CONLLU)
-        assert corpus.sentences[0].passthrough.other[0] == (0, CONLLU.splitlines()[0])
+        rows = corpus.sentences[0].passthrough
+        assert rows.lines[0] == CONLLU.splitlines()[0] and 0 not in rows.word_lines
 
     def test_write_without_passthrough(self, tmp_path):
         sent = LabeledSentence(["a", "b"], Schema.DEP, heads=[2, 0], deprels=["nsubj", "root"])
@@ -333,7 +337,8 @@ class TestConllu:
         path = write(tmp_path, WORD + line + "\n", "x.conllu")
         sent = read_labeled(path, Schema.POS, Format.CONLLU).sentences[0]
         assert sent.tokens == ["We"]
-        assert sent.passthrough.other == [(1, line)]
+        assert sent.passthrough.lines == [WORD.rstrip("\n"), line]
+        assert sent.passthrough.word_lines == [0]
 
     @pytest.mark.parametrize(
         "id_field", ["1-2-3", "1.2.3", "1-2.3", "1.2-3", "-1", "1-", ".1", "1.", "a", ""])
@@ -399,6 +404,23 @@ class TestWriteChecks:
             write_labeled(corpus, out, fmt)
         assert not out.exists()
 
+    @pytest.mark.parametrize("second", ["c\tO\n", None], ids=["read", "built-in-code"])
+    def test_two_col_blocks_must_share_a_column_count(self, tmp_path, second):
+        # a 4-column block and a 2-column block used to be written together,
+        # giving a file read_labeled rejects ("inconsistent column count")
+        corpus = read_labeled(write(tmp_path, "a\tX\tx\tm\n", "gold.tsv"), Schema.POS)
+        if second is None:
+            corpus.sentences.append(LabeledSentence(["c"], Schema.POS, labels=["X"]))
+        else:
+            corpus.sentences += read_labeled(write(tmp_path, second, "pseudo.tsv"), Schema.POS).sentences
+        out = tmp_path / "out.tsv"
+        with pytest.raises(ValidationError, match=re.escape(
+                "sentence 1 has 2 two-col columns but sentence 0 has 4")):
+            write_labeled(corpus, out, Format.TWO_COL)
+        assert not out.exists()
+        # CoNLL-U writes both with default rows
+        write_labeled(corpus, tmp_path / "out.conllu", Format.CONLLU)
+
     def test_conllu_labels_may_be_empty(self, tmp_path):
         corpus = LabeledCorpus(Schema.POS, [LabeledSentence(["a"], Schema.POS, labels=[""])])
         out = tmp_path / "out.conllu"
@@ -443,7 +465,7 @@ class TestCrossFormat:
         pos = read_labeled(write(tmp_path, CONLLU, "x.conllu"), Schema.POS, Format.CONLLU)
         sent = LabeledSentence(["a", "b"], Schema.DEP, heads=[2, 0], deprels=["nsubj", "root"],
                                passthrough=replace(pos.sentences[0].passthrough,
-                                                   words=pos.sentences[0].passthrough.words[:2]))
+                                                   word_lines=pos.sentences[0].passthrough.word_lines[:2]))
         out = tmp_path / "out.conllu"
         write_labeled(LabeledCorpus(Schema.DEP, [sent]), out, Format.CONLLU)
         assert out.read_text(encoding="utf-8") == (
@@ -456,9 +478,21 @@ class TestValidation:
         with pytest.raises(ValidationError):
             LabeledSentence(["a", "b"], Schema.POS, labels=["NOUN"])
 
-    def test_token_with_whitespace(self):
-        with pytest.raises(ValidationError):
-            LabeledSentence(["a b"], Schema.POS, labels=["NOUN"])
+    # " a" and "b " used to be accepted, although no reader can give them
+    @pytest.mark.parametrize("token", ["a b", " a", "b ", "a\n", "\u2028", ""])
+    def test_token_with_whitespace(self, token):
+        with pytest.raises(ValidationError, match=re.escape(f"bad token {token!r}")):
+            LabeledSentence(["ok", token], Schema.POS, labels=["NOUN", "VERB"])
+
+    @pytest.mark.parametrize("fmt, text, line", [
+        (Format.TWO_COL, "a\tX\n b\tY\n", 2),
+        (Format.TWO_COL, "a\tX\n\nc\tY\nd \tY\n", 4),
+        (Format.CONLLU, "# c\n" + WORD + WORD.replace("We", " We"), 3),
+    ])
+    def test_token_field_with_outer_whitespace_names_its_line(self, tmp_path, fmt, text, line):
+        with pytest.raises(DataFormatError, match=f"line {line}: bad token") as exc:
+            read_labeled(write(tmp_path, text, "x"), Schema.POS, fmt)
+        assert exc.value.line == line
 
     def test_empty_sentence(self):
         with pytest.raises(ValidationError):
@@ -567,7 +601,8 @@ def two_col_corpora(draw):
         sentences.append(LabeledSentence(
             [token for token, _, _ in rows], schema, labels=[label for _, label, _ in rows],
             passthrough=BlockRows(Format.TWO_COL, (0, 1),
-                                  [[token, label, *more] for token, label, more in rows])))
+                                  ["\t".join([token, label, *more]) for token, label, more in rows],
+                                  range(len(rows)))))
     return LabeledCorpus(schema, sentences)
 
 
@@ -592,7 +627,8 @@ def conllu_corpora(draw):
 def conllu_texts(draw):
     """CoNLL-U text read as POS or DEP: word lines with any fields but the
     token, among comments, multiword-token ranges and empty nodes, each block
-    ending with a blank line as the writer ends it.
+    ending with a blank line as the writer ends it; and each block's number
+    of word lines.
 
     The writer puts ``str(head)`` back, so a DEP HEAD is written that way.
     """
@@ -600,8 +636,8 @@ def conllu_texts(draw):
     rest = st.lists(FIELDS, min_size=8, max_size=8)
     comment = st.text(st.characters(codec="utf-8", exclude_characters="\r\n"), max_size=6)
     blocks = []
-    for _ in range(draw(st.integers(0, 4))):
-        n = draw(st.integers(1, 4))
+    ns = draw(st.lists(st.integers(1, 4), max_size=4))
+    for n in ns:
         lines = []
         for i in range(1, n + 1):
             form, (lemma, upos, xpos, feats, head, deprel, deps, misc) = draw(TOKENS), draw(rest)
@@ -618,7 +654,7 @@ def conllu_texts(draw):
         for line in draw(st.lists(others, max_size=4)):
             lines.insert(draw(st.integers(0, len(lines))), line)
         blocks.append("\n".join(lines) + "\n\n")
-    return schema, "".join(blocks)
+    return schema, "".join(blocks), ns
 
 
 @given(conllu_texts())
@@ -626,7 +662,7 @@ def conllu_texts(draw):
 def test_conllu_text_round_trip(tmp_path_factory, case):
     """Reading CoNLL-U and writing it back gives the same bytes, with every
     comment, range and empty-node line in place."""
-    schema, text = case
+    schema, text, _ = case
     tmp = tmp_path_factory.mktemp("conllu-text")
     original = tmp / "x.conllu"
     original.write_bytes(text.encode("utf-8"))
@@ -634,6 +670,81 @@ def test_conllu_text_round_trip(tmp_path_factory, case):
     out = tmp / "out.conllu"
     write_labeled(corpus, out, Format.CONLLU)
     assert out.read_bytes() == original.read_bytes()
+
+
+@st.composite
+def labeled_fills(draw):
+    """A TwoColumn or CoNLL-U file's text, with LF, CRLF or CR line ends and
+    blank or whitespace-only lines around its blocks, how to read it, and
+    new strings for each sentence's token and label fields: per sentence,
+    one list per field in ``columns``, token first.
+
+    TwoColumn files have two to four columns, the token and label in any
+    two of them. The writer puts ``str(head)`` back, so new DEP heads are
+    given that way.
+    """
+    if draw(st.booleans()):
+        schema, text, ns = draw(conllu_texts())
+        blocks = text.split("\n\n")[:-1]
+        fmt, options = Format.CONLLU, {}
+        columns = (1, 3) if schema is Schema.POS else (1, 6, 7)
+        label = FIELDS
+    else:
+        schema = draw(st.sampled_from([Schema.NER, Schema.POS]))
+        ncols = draw(st.integers(2, 4))
+        columns = tuple(draw(st.permutations(range(ncols)))[:2])
+        fmt, options = Format.TWO_COL, dict(zip(("token_col", "label_col"), columns))
+        label = FIELDS.filter(bool)
+        ns = draw(st.lists(st.integers(1, 4), max_size=4))
+        blocks = []
+        for n in ns:
+            rows = []
+            for _ in range(n):
+                fields = draw(st.lists(FIELDS, min_size=ncols, max_size=ncols))
+                fields[columns[0]], fields[columns[1]] = draw(TOKENS), draw(label)
+                rows.append("\t".join(fields))
+            blocks.append("\n".join(rows))
+    blanks = st.lists(st.sampled_from(["", " ", "\t", "\u2003 "]), min_size=1, max_size=2)
+    lines = draw(blanks) if draw(st.booleans()) else []
+    for block in blocks:
+        lines += [block, *draw(blanks)]
+    text = "\n".join(lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\n")
+    values = []
+    for n in ns:
+        new = [draw(st.lists(TOKENS, min_size=n, max_size=n))]
+        if schema is Schema.DEP:
+            new.append([str(h) for h in draw(st.lists(st.integers(0, n), min_size=n, max_size=n))])
+        new.append(draw(st.lists(label, min_size=n, max_size=n)))
+        values.append(new)
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return fmt, schema, options, columns, text.replace("\n", eol), values
+
+
+@given(labeled_fills())
+@settings(max_examples=300, deadline=None)
+def test_labeled_fill_matches_text_oracle(tmp_path_factory, case):
+    """Reading a labeled file, replacing every sentence's tokens and labels
+    and writing it gives the text ``labeled_oracle.fill`` makes from the
+    file's text alone."""
+    fmt, schema, options, columns, text, values = case
+    assume(not text.startswith(BOM))
+    tmp = tmp_path_factory.mktemp("fill")
+    path = tmp / "in"
+    path.write_bytes(text.encode("utf-8"))
+    corpus = read_labeled(path, schema, fmt, **options)
+    assert len(corpus) == len(values)
+    for k, (tokens, *labels) in enumerate(values):
+        if schema is Schema.DEP:
+            new = {"heads": list(map(int, labels[0])), "deprels": labels[1]}
+        else:
+            new = {"labels": labels[0]}
+        corpus.sentences[k] = replace(corpus.sentences[k], tokens=tokens, **new)
+    out = tmp / "out"
+    write_labeled(corpus, out, fmt)
+    want = labeled_oracle.fill(text, fmt is Format.CONLLU, columns, values)
+    assert out.read_bytes() == want.encode("utf-8")
 
 
 def assert_labeled_round_trip(path, corpus, fmt):

@@ -154,6 +154,12 @@ class TestAdd:
         assert not lex.add("a", "y", Provenance.INDUCED)
         assert lex.lookup("a")[1].provenance is Provenance.BASE
 
+    @pytest.mark.parametrize("source", [" a", "a ", "a\n", "a b", ""])
+    def test_source_must_be_one_token(self, source):
+        # " a" used to be saved as " a<TAB>x", which loads back as the key "a"
+        with pytest.raises(ValidationError, match="single non-empty token"):
+            Lexicon().add(source, "x")
+
     def test_many_candidates_for_one_source_is_linear(self):
         # PanLex-style sources carry hundreds of candidates; each insert must
         # not rescan the source's candidate list.
