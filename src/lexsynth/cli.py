@@ -307,11 +307,6 @@ def _int_at_least(minimum: int):
     return parse
 
 
-def _add_threads(parser):
-    parser.add_argument("--threads", type=_int_at_least(1), default=1,
-                        help="accepted for compatibility; has no effect on speed or output")
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="lexsynth", description=__doc__)
     parser.add_argument("--version", action="version", version=f"lexsynth {__version__}")
@@ -342,7 +337,6 @@ def build_parser() -> _Parser:
     p.add_argument("--no-case-fold", action="store_true")
     p.add_argument("--keep-punct", action="store_true")
     p.add_argument("--dump-alignments", metavar="PATH")
-    _add_threads(p)
     p.set_defaults(func=_cmd_lex_induce)
 
     sy = top.add_parser("synth", help="pseudo-corpus synthesis").add_subparsers(
@@ -355,7 +349,6 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--limit", type=_int_at_least(0), help="keep only the first N sentences")
     p.add_argument("--report", metavar="PATH", help="write a coverage report JSON")
-    _add_threads(p)
     p.set_defaults(func=_cmd_synth_mono)
 
     p = sy.add_parser("labeled", help="pseudo labeled data with labels retained")
@@ -366,7 +359,6 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--report", metavar="PATH")
-    _add_threads(p)
     p.set_defaults(func=_cmd_synth_labeled)
 
     di = top.add_parser("distill", help="teacher-label correction").add_subparsers(

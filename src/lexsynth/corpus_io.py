@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import enum
 import logging
+import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -205,22 +206,23 @@ class MonoCorpus(Sequence):
 def read_mono(path, limit: int | None = None) -> MonoCorpus:
     """Read one tokenized sentence per line; blank lines are skipped.
 
-    ``limit`` keeps only the first N sentences (0 keeps none). Each kept
-    line is held with its tokens joined by single spaces.
+    ``limit`` keeps only the first N sentences (0 keeps none); no line past
+    the limit is read, but the file is opened whatever the limit, so a
+    missing file is an error. Each kept line is held with its tokens joined
+    by single spaces.
     """
     if limit is not None and limit < 0:
         raise ValidationError(f"limit must be >= 0, got {limit}")
     lines: list[str] = []
-    if limit == 0:
-        return MonoCorpus(lines)
     with open_input(path) as fh:
-        for line in fh:
-            line = " ".join(line.split())
-            if not line:
-                continue
-            lines.append(line)
-            if limit is not None and len(lines) >= limit:
-                break
+        if limit != 0:
+            for line in fh:
+                line = " ".join(line.split())
+                if not line:
+                    continue
+                lines.append(line)
+                if limit is not None and len(lines) >= limit:
+                    break
     return MonoCorpus(lines)
 
 
@@ -299,6 +301,12 @@ def _columns(format: Format, schema: Schema, token_col: int = 0, label_col: int 
     return (1, 3) if schema is Schema.POS else (1, 6, 7)
 
 
+# A HEAD as the writer spells it, so that it reads back as the same bytes.
+# int() would also take a sign, spaces, underscores, non-ASCII digits and
+# leading zeros, which are written back as another spelling.
+_HEAD = re.compile("0|[1-9][0-9]*")
+
+
 def read_labeled(
     path,
     schema: Schema,
@@ -309,9 +317,11 @@ def read_labeled(
     """Parse a labeled corpus in TwoColumn or CoNLL-U format.
 
     ``token_col`` and ``label_col`` pick the TwoColumn fields; they must be
-    different and non-negative. Each sentence keeps its block's lines as
-    ``BlockRows``, so writing it back in the same format gives the same
-    bytes.
+    different and non-negative. A DEP HEAD must be ``0`` or ASCII digits
+    without a leading zero, as the writer spells it; anything else is a
+    ``DataFormatError`` naming the line. Each sentence keeps its block's
+    lines as ``BlockRows``, so writing it back in the same format gives the
+    same bytes.
     """
     columns = _columns(format, schema, token_col, label_col)
     token_col, *label_cols = columns
@@ -322,13 +332,13 @@ def read_labeled(
             head_col, deprel_col = label_cols
             heads: list[int] = []
             for fields in words:
-                try:
-                    heads.append(int(fields[head_col]))
-                except ValueError:
+                head = fields[head_col]
+                if not _HEAD.fullmatch(head):
                     raise DataFormatError(
-                        f"non-integer HEAD {fields[head_col]!r}",
+                        f"non-integer HEAD {head!r}",
                         path=path, line=first + rows.word_lines[len(heads)],
-                    ) from None
+                    )
+                heads.append(int(head))
             labels = {"heads": heads, "deprels": [fields[deprel_col] for fields in words]}
         else:
             labels = {"labels": [fields[label_cols[0]] for fields in words]}

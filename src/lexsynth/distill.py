@@ -13,10 +13,11 @@ from .corpus_io import LabeledCorpus, LabeledSentence, Schema
 from .errors import ValidationError
 
 
-def _position_label(sent: LabeledSentence, i: int) -> str:
+def _position_labels(sent: LabeledSentence) -> list[str]:
+    """Each position's label, compared whole: ``head:deprel`` for DEP."""
     if sent.schema is Schema.DEP:
-        return f"{sent.heads[i]}:{sent.deprels[i]}"
-    return sent.labels[i]
+        return [f"{head}:{deprel}" for head, deprel in zip(sent.heads, sent.deprels)]
+    return sent.labels
 
 
 def _check_shape(pseudo: LabeledCorpus, other: LabeledCorpus, what: str) -> None:
@@ -53,9 +54,7 @@ def apply_teacher_labels(
             raise ValidationError(
                 f"sentence {n}: pseudo has {len(p.tokens)} tokens, teacher has {len(t.tokens)}"
             )
-        changed += sum(
-            1 for i in range(len(p.tokens)) if _position_label(p, i) != _position_label(t, i)
-        )
+        changed += sum(a != b for a, b in zip(_position_labels(p), _position_labels(t)))
         sentences.append(replace(p, labels=t.labels, heads=t.heads, deprels=t.deprels))
     return LabeledCorpus(pseudo.schema, sentences), changed
 
@@ -85,10 +84,8 @@ def distill_report(pseudo: LabeledCorpus, distilled: LabeledCorpus) -> DistillRe
     for n, (p, d) in enumerate(zip(pseudo.sentences, distilled.sentences)):
         if p.tokens != d.tokens:
             raise ValidationError(f"sentence {n}: token sequences differ")
-        for i in range(len(p.tokens)):
-            positions += 1
-            before = _position_label(p, i)
-            after = _position_label(d, i)
+        positions += len(p.tokens)
+        for before, after in zip(_position_labels(p), _position_labels(d)):
             if before != after:
                 changed += 1
                 key = f"{before}->{after}"

@@ -232,16 +232,15 @@ def test_criterion_7_determinism(tmp_path):
         "".join(" ".join(rng.choice("xyzw") for _ in range(12)) + "\n" for _ in range(20000)),
         encoding="utf-8")
 
-    def run_mono(out, seed, threads):
+    def run_mono(out, seed):
         assert main(["synth", "mono", "--corpus", str(corpus), "--lexicon", str(lex),
-                     "--out", str(out), "--seed", str(seed), "--threads", str(threads)]) == 0
+                     "--out", str(out), "--seed", str(seed)]) == 0
         return out.read_bytes()
 
-    repeat_a = run_mono(tmp_path / "m1.txt", 5, 1)
-    repeat_b = run_mono(tmp_path / "m2.txt", 5, 1)
-    threaded = run_mono(tmp_path / "m8.txt", 5, 8)
-    other_seed = run_mono(tmp_path / "m3.txt", 6, 1)
-    assert repeat_a == repeat_b == threaded
+    repeat_a = run_mono(tmp_path / "m1.txt", 5)
+    repeat_b = run_mono(tmp_path / "m2.txt", 5)
+    other_seed = run_mono(tmp_path / "m3.txt", 6)
+    assert repeat_a == repeat_b
     assert repeat_a != other_seed  # >= 64 ambiguous two-way draws in this corpus
 
     labeled = tmp_path / "labeled.tsv"
@@ -249,13 +248,13 @@ def test_criterion_7_determinism(tmp_path):
         "".join(f"{t}\tT{i % 5}\n" for i, t in enumerate("x y z x y z x w".split())),
         encoding="utf-8")
 
-    def run_labeled(out, threads):
+    def run_labeled(out):
         assert main(["synth", "labeled", "--input", str(labeled), "--format", "two-col",
                      "--schema", "pos", "--lexicon", str(lex), "--out", str(out),
-                     "--seed", "3", "--threads", str(threads)]) == 0
+                     "--seed", "3"]) == 0
         return out.read_bytes()
 
-    assert run_labeled(tmp_path / "l1.tsv", 1) == run_labeled(tmp_path / "l2.tsv", 8)
+    assert run_labeled(tmp_path / "l1.tsv") == run_labeled(tmp_path / "l2.tsv")
 
     gold = tmp_path / "gold.txt"
     gold.write_text("".join(f"g{i}\n" for i in range(70)), encoding="utf-8")
@@ -279,15 +278,12 @@ def test_criterion_7_determinism(tmp_path):
     pairs = verse_corpus(1500, seed=4)
     write_parallel(pairs, src, tgt)
 
-    def run_induce(out, threads):
+    def run_induce(out):
         assert main(["lex", "induce", "--src", str(src), "--tgt", str(tgt),
-                     "--out", str(out), "--threads", str(threads)]) == 0
+                     "--out", str(out)]) == 0
         return out.read_bytes()
 
-    induce_a = run_induce(tmp_path / "i1.tsv", 1)
-    induce_b = run_induce(tmp_path / "i2.tsv", 8)
-    induce_c = run_induce(tmp_path / "i3.tsv", 1)
-    assert induce_a == induce_b == induce_c
+    assert run_induce(tmp_path / "i1.tsv") == run_induce(tmp_path / "i2.tsv")
 
 
 @criterion(8, "mixing-exactness", budget_seconds=10.0)

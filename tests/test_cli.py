@@ -278,18 +278,6 @@ class TestSynthCommands:
                      "--out", str(out), "--seed", "1", "--limit", "4"]) == 0
         assert out.read_text(encoding="utf-8") == "x\n" * 4
 
-    def test_mono_threads_identical(self, tmp_path):
-        lex = lexicon_file(tmp_path, [("x", "a"), ("x", "b"), ("y", "c")])
-        corpus = tmp_path / "mono.txt"
-        corpus.write_text("x y x\n" * 9000, encoding="utf-8")
-        outs = []
-        for threads in ("1", "8"):
-            out = tmp_path / f"out{threads}.txt"
-            assert main(["synth", "mono", "--corpus", str(corpus), "--lexicon", str(lex),
-                         "--out", str(out), "--seed", "5", "--threads", threads]) == 0
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
-
     def test_labeled_two_col(self, tmp_path):
         lex = lexicon_file(tmp_path, LABELED_LEX_PAIRS)
         data = two_col_file(tmp_path, LABELED_SRC, LABELED_TAGS)
@@ -482,7 +470,8 @@ class TestUsage:
 
 
 class TestNumericFlags:
-    """Out-of-range numeric flags are usage errors: exit 1, nothing written."""
+    """Out-of-range numeric flags, and `--threads`, which no command takes,
+    are usage errors: exit 1, nothing written."""
 
     def induce(self, tmp_path, *flags):
         src = tmp_path / "src.txt"
@@ -515,14 +504,13 @@ class TestNumericFlags:
                 "--seed", "1", *flags]
 
     @pytest.mark.parametrize("command,flags", [
-        ("induce", ("--threads", "0")),
-        ("induce", ("--threads", "-2")),
+        ("induce", ("--threads", "2")),
         ("induce", ("--iterations", "0")),
         ("induce", ("--min-count", "0")),
         ("induce", ("--iterations", "two")),
-        ("mono", ("--threads", "0")),
+        ("mono", ("--threads", "2")),
         ("mono", ("--limit", "-3")),
-        ("labeled", ("--threads", "0")),
+        ("labeled", ("--threads", "2")),
         ("upsample", ("--target-size", "0")),
         ("upsample", ("--target-size", "-5")),
     ])
@@ -536,6 +524,14 @@ class TestNumericFlags:
     def test_mono_limit_zero_writes_empty_corpus(self, tmp_path):
         assert main(self.mono(tmp_path, "--limit", "0")) == 0
         assert (tmp_path / "out").read_text(encoding="utf-8") == ""
+
+    def test_mono_limit_zero_still_needs_the_corpus(self, tmp_path, capsys):
+        argv = self.mono(tmp_path, "--limit", "0")
+        (tmp_path / "mono.txt").unlink()
+        inputs = set(tmp_path.iterdir())
+        assert main(argv) == 2
+        assert "mono.txt" in capsys.readouterr().err
+        assert set(tmp_path.iterdir()) == inputs  # no output, no temp file
 
 
 class TestSameOutputPath:

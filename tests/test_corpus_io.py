@@ -65,6 +65,14 @@ class TestMono:
         path = write(tmp_path, "a\nb\n", "m.txt")
         assert read_mono(path, limit=0) == []
 
+    def test_limit_zero_opens_the_file_and_reads_no_line(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            read_mono(tmp_path / "missing.txt", limit=0)
+        # a byte that is not UTF-8 is an error only once its line is read
+        path = tmp_path / "m.txt"
+        path.write_bytes(b"\xe9\n")
+        assert read_mono(path, limit=0) == []
+
     def test_negative_limit_rejected(self, tmp_path):
         with pytest.raises(ValidationError, match="limit"):
             read_mono(write(tmp_path, "a\nb\n", "m.txt"), limit=-3)
@@ -267,6 +275,13 @@ class TestConllu:
             read_labeled(path, Schema.DEP, Format.CONLLU)
         # POS reading does not need heads
         read_labeled(path, Schema.POS, Format.CONLLU)
+
+    @pytest.mark.parametrize("head", ["+1", " 1", "1 ", "0_1", "\u0661", "01"])
+    def test_head_must_be_a_canonical_decimal(self, tmp_path, head):
+        # int() takes each of these as 1; written back, it would read "1"
+        bad = CONLLU.replace("\t2\tobj", f"\t{head}\tobj")
+        with pytest.raises(DataFormatError, match=re.escape(f"line 7: non-integer HEAD {head!r}")):
+            read_labeled(write(tmp_path, bad, "x.conllu"), Schema.DEP, Format.CONLLU)
 
     def test_head_out_of_range_rejected(self, tmp_path):
         bad = CONLLU.replace("\t2\tobj", "\t9\tobj")
