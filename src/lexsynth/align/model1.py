@@ -28,14 +28,17 @@ returns counts for the chunk's pairs only; they are added into the table's
 counts in ascending chunk order.
 
 The three corpus consumers, ``train_model1``, ``viterbi_align`` and
-``induce_lexicon``, read a corpus as an ``EncodedCorpus``: the list of its
-``(source, target)`` pairs with, per side, the sentence lengths, one flat
-array of type ids and the folded types in order of first occurrence, all
-made by ``_encode``. Each function accepts one or encodes a plain corpus
-itself, so a caller that passes one encoded corpus to all three (and its
-``swapped()`` for the other direction, which exchanges the sides without
-encoding again) encodes each side once; ``lex induce`` does that. A table's
-source row is its type id + 1, row 0 being NULL.
+``induce_lexicon``, read a corpus as an ``EncodedCorpus``: per side, each
+sentence as one line of tokens joined by single spaces (the lines of a
+``corpus_io.ParallelPairs``, shared, not copied), the sentence lengths, one
+flat array of type ids and the folded types in order of first occurrence,
+all made by ``_encode``. No token list per sentence is kept; indexing or
+iterating the corpus splits the lines. Each function accepts one or encodes
+a plain corpus itself, so a caller that passes one encoded corpus to all
+three (and its ``swapped()`` for the other direction, which exchanges the
+sides without encoding or copying) encodes each side once; ``lex induce``
+does that. A table's source row is its type id + 1, row 0 being NULL; the
+layout maps ids to rows one chunk at a time.
 
 Each direction's layout is built once. ``train_model1`` keeps the encoded
 corpus it trained on and its chunks in the table. When ``viterbi_align``
@@ -68,7 +71,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..corpus_io import ParallelCorpus
+from ..corpus_io import MonoCorpus, ParallelCorpus, ParallelPairs
 from ..errors import ValidationError
 from . import _em_numpy
 
@@ -246,50 +249,84 @@ class TranslationTable:
 class _Side(NamedTuple):
     """One side of an encoded corpus (see ``_encode``)."""
 
+    lines: list[str]     # each sentence's tokens joined by single spaces
     lens: np.ndarray     # tokens per sentence
     flat: np.ndarray     # every token's type id, sentence after sentence
     types: list[str]     # the folded type of each id, in first-occurrence order
 
 
-def _encode(sentences, fold) -> _Side:
-    """Number the folded types of ``sentences`` from 0 in order of first
-    occurrence, and give each token its type's id."""
+def _encode(lines: list[str], fold) -> _Side:
+    """Number the folded types of the sentences held in ``lines`` from 0 in
+    order of first occurrence, and give each token its type's id.
+
+    The lines are split ``_CHUNK_SENTS`` at a time: splitting a whole side
+    at once leaves the memory of all its token strings behind, under the EM
+    working set, and looking up each line's words alone is slower."""
     types: dict[str, int] = {}
-    ids = {word: types.setdefault(fold(word), len(types))
-           for word in dict.fromkeys(itertools.chain.from_iterable(sentences))}
-    lens = np.fromiter(map(len, sentences), dtype=np.int64, count=len(sentences))
-    flat = np.fromiter(map(ids.__getitem__, itertools.chain.from_iterable(sentences)),
-                       dtype=np.int64, count=int(lens.sum()))
-    return _Side(lens, flat, list(types))
+    ids: dict[str, int] = {}
+    lens: list[int] = []
+
+    def batches():
+        for lo in range(0, len(lines), _CHUNK_SENTS):
+            rows = list(map(str.split, lines[lo:lo + _CHUNK_SENTS]))
+            lens.extend(map(len, rows))
+            words = list(itertools.chain.from_iterable(rows))
+            for word in dict.fromkeys(words):
+                if word not in ids:
+                    ids[word] = types.setdefault(fold(word), len(types))
+            yield words
+
+    # each batch's words get ids before any of them is looked up
+    flat = np.fromiter(map(ids.__getitem__, itertools.chain.from_iterable(batches())),
+                       dtype=np.int64)
+    return _Side(lines, np.array(lens, dtype=np.int64), flat, list(types))
 
 
-class EncodedCorpus(list):
+class EncodedCorpus(Sequence):
     """A parallel corpus with each side encoded once, for ``train_model1``,
     ``viterbi_align`` and ``induce_lexicon``.
 
-    It is the list of ``(source, target)`` pairs it was built from. ``src``
-    and ``tgt`` hold each side's sentence lengths, flat type ids and types,
-    folded with ``str.casefold`` when ``case_fold`` is set. ``swapped``
-    reverses the direction without encoding again.
+    ``src`` and ``tgt`` hold each side's lines (as a ``MonoCorpus`` holds
+    them), sentence lengths, flat type ids and types, folded with
+    ``str.casefold`` when ``case_fold`` is set. Item k is the pair of
+    sentence k's token lists, split from its lines when read. ``swapped``
+    reverses the direction without encoding or copying.
     """
 
-    def __init__(self, pairs, src: _Side, tgt: _Side, case_fold: bool):
-        super().__init__(pairs)
+    def __init__(self, src: _Side, tgt: _Side, case_fold: bool):
         self.src, self.tgt, self.case_fold = src, tgt, case_fold
 
     @classmethod
-    def of(cls, corpus: ParallelCorpus, case_fold: bool = True) -> EncodedCorpus:
+    def of(cls, corpus, case_fold: bool = True) -> EncodedCorpus:
         """``corpus`` itself if it is an ``EncodedCorpus`` folded as
-        ``case_fold`` says, else its pairs encoded."""
-        if isinstance(corpus, cls) and corpus.case_fold == case_fold:
+        ``case_fold`` says, else its sides' lines encoded.
+
+        The lines of an ``EncodedCorpus`` or a ``ParallelPairs`` are used as
+        they are. Any other corpus of ``(source, target)`` token lists goes
+        through ``ParallelPairs.of``, so a token that is empty or holds
+        whitespace is a ``ValidationError``.
+        """
+        if not isinstance(corpus, cls):
+            corpus = ParallelPairs.of(corpus)
+        elif corpus.case_fold == case_fold:
             return corpus
         fold = str.casefold if case_fold else str
-        return cls(corpus, _encode([s for s, _ in corpus], fold),
-                   _encode([t for _, t in corpus], fold), case_fold)
+        return cls(_encode(corpus.src.lines, fold), _encode(corpus.tgt.lines, fold), case_fold)
 
     def swapped(self) -> EncodedCorpus:
         """The corpus with source and target exchanged."""
-        return EncodedCorpus(swap_corpus(self), self.tgt, self.src, self.case_fold)
+        return EncodedCorpus(self.tgt, self.src, self.case_fold)
+
+    def __len__(self) -> int:
+        return len(self.src.lines)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return ParallelPairs(MonoCorpus(self.src.lines[k]), MonoCorpus(self.tgt.lines[k]))
+        return self.src.lines[k].split(), self.tgt.lines[k].split()
+
+    def __iter__(self):
+        return zip(map(str.split, self.src.lines), map(str.split, self.tgt.lines))
 
 
 def _check_source_types(types: list[str], case_fold: bool) -> None:
@@ -308,7 +345,7 @@ def _offsets(lens) -> np.ndarray:
     return ptr
 
 
-def _chunk_layouts(src_lens, src_flat, tgt_lens, tgt_flat, n_tgt):
+def _chunk_layouts(src_lens, src_flat, tgt_lens, tgt_flat, n_tgt, src_map=None, tgt_map=None):
     """The slot layout of a corpus, one ``_CHUNK_SENTS``-sentence chunk at a
     time.
 
@@ -316,7 +353,10 @@ def _chunk_layouts(src_lens, src_flat, tgt_lens, tgt_flat, n_tgt):
     the NULL source (id 0); its group is its (sentence, target token), so a
     group holds the NULL slot and then one slot per source token, in order.
     A slot's pair key is ``src_id * n_tgt + tgt_id``, or -1 when either id
-    is -1 (a word the table does not know).
+    is -1 (a word the table does not know). A source token's id is
+    ``src_map[id]`` when ``src_map`` is given, else the id in ``src_flat``,
+    and likewise for targets; the maps are applied one chunk at a time, so
+    no mapped copy of a whole side is made.
 
     Yields, per chunk, ``group_ptr`` (group g's slots are
     ``group_ptr[g]:group_ptr[g+1]``), the sorted distinct pair keys and
@@ -334,6 +374,10 @@ def _chunk_layouts(src_lens, src_flat, tgt_lens, tgt_flat, n_tgt):
     for s_lens, s_flat, t_lens, t_flat in zip(
             np.split(src_lens, cuts), np.split(src_flat, _offsets(src_lens)[cuts]),
             np.split(tgt_lens, cuts), np.split(tgt_flat, _offsets(tgt_lens)[cuts])):
+        if src_map is not None:
+            s_flat = src_map[s_flat]
+        if tgt_map is not None:
+            t_flat = tgt_map[t_flat]
         group_ptr = _offsets(np.repeat(s_lens + 1, t_lens))
         widths = np.diff(group_ptr)
         # A "block" is a sentence's NULL id followed by its source ids; the
@@ -371,11 +415,13 @@ def train_model1(corpus: ParallelCorpus, cfg: AlignerConfig = AlignerConfig()) -
         raise ValidationError(f"parallel pair {empty[0]} has an empty side")
     _check_source_types(src.types, cfg.case_fold)
 
-    src_words = [NULL_WORD, *src.types]  # a source type's row is its id + 1
+    src_words = [NULL_WORD, *src.types]
     n_src = len(src_words)
     n_tgt = len(tgt.types)
 
-    chunks = list(_chunk_layouts(src.lens, src.flat + 1, tgt.lens, tgt.flat, n_tgt))
+    # a source type's row is its id + 1
+    rows = np.arange(1, n_src, dtype=np.int64)
+    chunks = list(_chunk_layouts(src.lens, src.flat, tgt.lens, tgt.flat, n_tgt, rows))
     # The table's pairs are the chunks' keys merged: sorted, first of each run.
     merged = np.concatenate([keys for _, keys, _ in chunks])
     merged.sort()
@@ -439,8 +485,8 @@ def viterbi_align(corpus: ParallelCorpus, table: TranslationTable) -> Alignments
         tgt_ids = np.array([table._tgt_index.get(w, -1) for w in tgt.types], dtype=np.int64)
         chunks = ((group_ptr, table._lookup(keys), local)
                   for group_ptr, keys, local in _chunk_layouts(
-                      src.lens, src_ids[src.flat], tgt.lens, tgt_ids[tgt.flat],
-                      len(table.tgt_words)))
+                      src.lens, src.flat, tgt.lens, tgt.flat, len(table.tgt_words),
+                      src_ids, tgt_ids))
 
     # Segmented argmax over each group's source slots: the NULL slot is
     # masked below every probability, a group links iff its maximum beats or

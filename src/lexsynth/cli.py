@@ -52,6 +52,14 @@ VALIDATION_ERROR = 3
 
 
 class _Parser(argparse.ArgumentParser):
+    def parse_known_args(self, args=None, namespace=None):
+        # argparse hands a subcommand's unknown arguments back to the top
+        # parser; rejecting them here shows the subcommand's own usage.
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)

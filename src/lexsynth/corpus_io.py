@@ -6,7 +6,10 @@ Formats handled:
     holds each sentence as that line (its tokens joined by single spaces)
     and splits it only when an item is read; ``synth.synth_mono``,
     ``mix.upsample_to_match`` and ``mix.concat_shuffle`` return one too
-  * parallel text: two line-aligned monolingual files
+  * parallel text: two line-aligned monolingual files. ``read_parallel``
+    returns a ``ParallelPairs``, whose two sides are ``MonoCorpus`` lines;
+    ``lex induce`` encodes those lines (``align.EncodedCorpus``) without
+    ever holding a token list per sentence
   * TwoColumn: one ``token<TAB>label`` line per token; extra tab-separated
     columns are kept for round-tripping
   * CoNLL-U: standard 10-column lines; comments, multiword-token range lines
@@ -238,11 +241,50 @@ def write_mono(corpus: MonoCorpus | TokenizedCorpus, path) -> None:
             fh.write("\n".join(lines[lo:lo + _WRITE_BATCH]) + "\n")
 
 
-class ParallelPairs(list):
-    """The pairs ``read_parallel`` kept; ``dropped`` holds the 0-based input
-    line numbers of the pairs it skipped."""
+class ParallelPairs(Sequence):
+    """A parallel corpus held as two ``MonoCorpus`` sides, ``src`` and
+    ``tgt``, with as many lines each.
 
-    dropped: tuple[int, ...] = ()
+    Item k is ``(src[k], tgt[k])``, each side's token list split from its
+    line when read; a slice is a ``ParallelPairs``. Build one from
+    ``(source tokens, target tokens)`` pairs with ``of``. ``dropped`` holds
+    the 0-based input line numbers of the pairs ``read_parallel`` skipped.
+    """
+
+    def __init__(self, src: MonoCorpus, tgt: MonoCorpus, dropped: tuple[int, ...] = ()):
+        if len(src) != len(tgt):
+            raise ValidationError(f"parallel sides differ in length: {len(src)} and {len(tgt)}")
+        self.src, self.tgt, self.dropped = src, tgt, dropped
+
+    @classmethod
+    def of(cls, corpus) -> ParallelPairs:
+        """``corpus`` itself if it is a ``ParallelPairs``, else its sides
+        joined into lines by ``MonoCorpus.of``, which rejects a token that
+        is empty or holds whitespace."""
+        if isinstance(corpus, cls):
+            return corpus
+        return cls(MonoCorpus.of([s for s, _ in corpus]), MonoCorpus.of([t for _, t in corpus]))
+
+    def __len__(self) -> int:
+        return len(self.src)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return ParallelPairs(self.src[k], self.tgt[k])
+        return self.src[k], self.tgt[k]
+
+    def __iter__(self):
+        return zip(self.src, self.tgt)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, ParallelPairs):
+            return self.src == other.src and self.tgt == other.tgt
+        if isinstance(other, Sequence) and not isinstance(other, str):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"ParallelPairs({self.src!r}, {self.tgt!r})"
 
 
 def read_parallel(src_path, tgt_path) -> ParallelPairs:
@@ -252,7 +294,8 @@ def read_parallel(src_path, tgt_path) -> ParallelPairs:
     dropped with a counted warning, and their line numbers are kept in the
     result's ``dropped``. Lines are split as ``read_mono`` splits them, at
     ``\n``, ``\r\n`` or ``\r`` only: a U+2028 or form feed inside a line
-    does not end it.
+    does not end it. Each kept line is held as ``read_mono`` holds it, with
+    its tokens joined by single spaces.
     """
     with open_input(src_path) as fh:
         src_lines = list(fh)
@@ -263,23 +306,26 @@ def read_parallel(src_path, tgt_path) -> ParallelPairs:
             f"parallel line count mismatch: {src_path} has {len(src_lines)} lines, "
             f"{tgt_path} has {len(tgt_lines)} lines"
         )
-    pairs = ParallelPairs()
-    dropped = []
-    for n, (src, tgt) in enumerate(zip(src_lines, tgt_lines)):
-        s, t = src.split(), tgt.split()
+    src, tgt, dropped = [], [], []
+    for n, (s, t) in enumerate(zip(src_lines, tgt_lines)):
+        s, t = " ".join(s.split()), " ".join(t.split())
         if not s or not t:
             dropped.append(n)
             continue
-        pairs.append((s, t))
-    pairs.dropped = tuple(dropped)
+        src.append(s)
+        tgt.append(t)
     if dropped:
         logger.warning("dropped %d parallel pair(s) with a blank side", len(dropped))
-    return pairs
+    return ParallelPairs(MonoCorpus(src), MonoCorpus(tgt), tuple(dropped))
 
 
-def write_parallel(corpus: ParallelCorpus, src_path, tgt_path) -> None:
-    write_mono([s for s, _ in corpus], src_path)
-    write_mono([t for _, t in corpus], tgt_path)
+def write_parallel(corpus: ParallelPairs | ParallelCorpus, src_path, tgt_path) -> None:
+    """Write each side as ``write_mono`` writes it. A list of pairs goes
+    through ``ParallelPairs.of``, so both sides are checked before either
+    file is written."""
+    pairs = ParallelPairs.of(corpus)
+    write_mono(pairs.src, src_path)
+    write_mono(pairs.tgt, tgt_path)
 
 
 def _columns(format: Format, schema: Schema, token_col: int = 0, label_col: int = 1) -> tuple[int, ...]:

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from lexsynth.align import (
 )
 from lexsynth.align import model1
 from lexsynth.align.model1 import TranslationTable, _chunk_layouts
+from lexsynth.corpus_io import MonoCorpus, ParallelPairs, read_parallel
 from lexsynth.errors import ValidationError
 from lexsynth.lexicon import Lexicon, Provenance
 
@@ -105,6 +107,15 @@ class TestTraining:
     def test_empty_side_rejected(self):
         with pytest.raises(ValidationError):
             train_model1([(["a"], [])], AlignerConfig())
+
+    @pytest.mark.parametrize("corpus", [
+        [(["a"], ["x"]), ([], ["y"])],
+        [(["a"], ["x"]), (["b"], []), ([], [])],
+        ParallelPairs(MonoCorpus(["a", "b c"]), MonoCorpus(["x", ""])),
+    ])
+    def test_empty_side_names_the_first_such_pair(self, corpus):
+        with pytest.raises(ValidationError, match="parallel pair 1 has an empty side"):
+            train_model1(corpus, AlignerConfig())
 
     def test_case_folding_merges_types(self):
         corpus = [(["The", "house"], ["das", "haus"]), (["the", "book"], ["das", "buch"])]
@@ -592,6 +603,61 @@ def test_encoded_corpus_gives_the_plain_corpus_results(corpus, case_fold):
                 assert np.array_equal(links.src_lens, want_links.src_lens)
                 assert np.array_equal(links.tgt_lens, want_links.tgt_lens)
             assert induce_lexicon(given_corpus, want_links, cfg) == want_lex
+
+
+class TestEncodedCorpusLines:
+    """An ``EncodedCorpus`` holds each side's lines (tokens joined by single
+    spaces) beside its ids, and shares them with the corpus it was made of."""
+
+    def test_shares_the_lines_of_read_parallel(self, tmp_path):
+        (tmp_path / "s.txt").write_text("The  house\na\tbook\n\nx\n", encoding="utf-8")
+        (tmp_path / "t.txt").write_text("das haus\nein buch\ny\n \n", encoding="utf-8")
+        pairs = read_parallel(tmp_path / "s.txt", tmp_path / "t.txt")
+        encoded = EncodedCorpus.of(pairs)
+        assert encoded.src.lines is pairs.src.lines
+        assert encoded.tgt.lines is pairs.tgt.lines
+        assert encoded.src.lines == ["The house", "a book"]
+        assert encoded.src.types == ["the", "house", "a", "book"]
+        assert encoded.src.flat.tolist() == [0, 1, 2, 3]
+        assert encoded.src.lens.tolist() == [2, 2]
+        swapped = encoded.swapped()
+        assert swapped.src is encoded.tgt and swapped.tgt is encoded.src
+        assert swapped.src.lines is pairs.tgt.lines
+        assert swapped.tgt.lines is pairs.src.lines
+        assert list(swapped) == [(["das", "haus"], ["The", "house"]),
+                                 (["ein", "buch"], ["a", "book"])]
+        # folded otherwise: encoded again, from the same lines
+        raw = EncodedCorpus.of(encoded, case_fold=False)
+        assert raw.src.lines is pairs.src.lines and raw.tgt.lines is pairs.tgt.lines
+        assert raw.src.types == ["The", "house", "a", "book"]
+
+    def test_items_are_split_from_the_lines(self):
+        encoded = EncodedCorpus.of([(["a", "b"], ["x"]), (["c"], ["y", "z"])])
+        assert encoded.src.lines == ["a b", "c"] and encoded.tgt.lines == ["x", "y z"]
+        assert len(encoded) == 2
+        assert encoded[1] == (["c"], ["y", "z"]) and encoded[-2] == (["a", "b"], ["x"])
+        assert list(encoded[1:]) == [(["c"], ["y", "z"])]
+        with pytest.raises(IndexError):
+            encoded[2]
+
+    def test_lengths_and_ids_follow_how_each_line_splits(self):
+        # lines made by hand may hold other whitespace than single spaces
+        pairs = ParallelPairs(MonoCorpus(["a\tb  a", " "]), MonoCorpus(["x", "y"]))
+        encoded = EncodedCorpus.of(pairs)
+        assert encoded.src.lens.tolist() == [3, 0]
+        assert encoded.src.flat.tolist() == [0, 1, 0]
+        assert list(encoded) == list(pairs) == [(["a", "b", "a"], ["x"]), ([], ["y"])]
+
+    @pytest.mark.parametrize("corpus,where", [
+        ([(["a"], ["x"]), (["b", ""], ["y"])], "sentence 1, token 1: ''"),
+        ([(["a"], ["x"]), (["b"], ["y", "a b"])], "sentence 1, token 1: 'a b'"),
+        ([(["a\u2028"], ["x"])], "sentence 0, token 0: 'a\\u2028'"),
+    ])
+    def test_a_token_a_line_cannot_hold_is_rejected(self, corpus, where):
+        with pytest.raises(ValidationError, match=re.escape(where)):
+            EncodedCorpus.of(corpus)
+        with pytest.raises(ValidationError, match=re.escape(where)):
+            train_model1(corpus)
 
 
 class TestAlignments:

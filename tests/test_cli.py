@@ -470,8 +470,8 @@ class TestUsage:
 
 
 class TestNumericFlags:
-    """Out-of-range numeric flags, and `--threads`, which no command takes,
-    are usage errors: exit 1, nothing written."""
+    """Out-of-range numeric flags, and flags a command does not take (such as
+    `--threads`), are usage errors: exit 1, nothing written."""
 
     def induce(self, tmp_path, *flags):
         src = tmp_path / "src.txt"
@@ -502,6 +502,36 @@ class TestNumericFlags:
         gold.write_text("a\nb\n", encoding="utf-8")
         return ["mix", "upsample", "--gold", str(gold), "--out", str(tmp_path / "out"),
                 "--seed", "1", *flags]
+
+    def apply(self, tmp_path, *flags):
+        pseudo = two_col_file(tmp_path, LABELED_SRC, LABELED_TAGS)
+        return ["distill", "apply", "--pseudo", str(pseudo), "--teacher", str(pseudo),
+                "--out", str(tmp_path / "out"), "--report", str(tmp_path / "report"), *flags]
+
+    def pos_dist(self, tmp_path, *flags):
+        lex = lexicon_file(tmp_path, LABELED_LEX_PAIRS)
+        reference = two_col_file(tmp_path, LABELED_SRC, LABELED_TAGS)
+        return ["report", "pos-dist", "--lexicon", str(lex), "--reference", str(reference),
+                *flags]
+
+    @pytest.mark.parametrize("command,usage,flags", [
+        ("induce", "lex induce", ()),
+        ("mono", "synth mono", ()),
+        ("apply", "distill apply", ()),
+        ("upsample", "mix upsample", ("--target-size", "3")),
+        ("pos_dist", "report pos-dist", ()),
+    ])
+    def test_unknown_flag_shows_the_subcommands_usage(self, tmp_path, capsys, command, usage,
+                                                      flags):
+        argv = getattr(self, command)(tmp_path, *flags, "--threads", "2")
+        inputs = set(tmp_path.iterdir())
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"usage: lexsynth {usage} [-h] ")
+        assert captured.err.endswith(
+            f"lexsynth {usage}: error: unrecognized arguments: --threads 2\n")
+        assert captured.out == ""
+        assert set(tmp_path.iterdir()) == inputs  # no output, no temp file
 
     @pytest.mark.parametrize("command,flags", [
         ("induce", ("--threads", "2")),

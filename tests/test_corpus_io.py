@@ -14,6 +14,7 @@ from lexsynth.corpus_io import (
     LabeledCorpus,
     LabeledSentence,
     MonoCorpus,
+    ParallelPairs,
     Schema,
     read_labeled,
     read_mono,
@@ -181,6 +182,41 @@ class TestParallel:
         src = write(tmp_path, "\ufeffa\n", "s.txt")
         tgt = write(tmp_path, "\ufeffx\n", "t.txt")
         assert read_parallel(src, tgt) == [(["a"], ["x"])]
+
+    def test_sides_hold_normalized_lines(self, tmp_path):
+        # whitespace inside a line (a tab, U+001C, U+2028) separates tokens
+        # and is held as one space, as read_mono holds it
+        src = write(tmp_path, " a\tb  c\x1cd\u2028e \n\nf\r\n", "s.txt")
+        tgt = write(tmp_path, "x\u2028 y\ty\nz\r\n\tw\n", "t.txt")
+        pairs = read_parallel(src, tgt)
+        assert isinstance(pairs.src, MonoCorpus) and isinstance(pairs.tgt, MonoCorpus)
+        assert pairs.src.lines == ["a b c d e", "f"] == read_mono(src).lines
+        assert pairs.tgt.lines == ["x y y", "w"]
+        assert pairs.dropped == (1,)
+        assert pairs == [(["a", "b", "c", "d", "e"], ["x", "y", "y"]), (["f"], ["w"])]
+        assert pairs[-1] == (["f"], ["w"]) and pairs[1:] == [(["f"], ["w"])]
+
+    def test_write_writes_the_sides_lines(self, tmp_path):
+        pairs = ParallelPairs(MonoCorpus(["a b", "c"]), MonoCorpus(["x", "y z"]))
+        write_parallel(pairs, tmp_path / "s.txt", tmp_path / "t.txt")
+        assert (tmp_path / "s.txt").read_bytes() == b"a b\nc\n"
+        assert (tmp_path / "t.txt").read_bytes() == b"x\ny z\n"
+        assert read_parallel(tmp_path / "s.txt", tmp_path / "t.txt") == pairs
+
+    def test_of_checks_both_sides_before_writing(self, tmp_path):
+        with pytest.raises(ValidationError, match="sentence 0, token 1: 'y z'"):
+            write_parallel([(["a"], ["x", "y z"])], tmp_path / "s.txt", tmp_path / "t.txt")
+        assert not any(tmp_path.iterdir())
+        with pytest.raises(ValidationError, match="differ in length: 1 and 2"):
+            ParallelPairs(MonoCorpus(["a"]), MonoCorpus(["x", "y"]))
+
+    def test_equality(self):
+        pairs = ParallelPairs.of([(["a"], ["x"]), (["b", "c"], ["y"])])
+        assert ParallelPairs.of(pairs) is pairs
+        assert pairs == ParallelPairs(MonoCorpus(["a", "b c"]), MonoCorpus(["x", "y"]))
+        assert pairs != ParallelPairs(MonoCorpus(["a", "b c"]), MonoCorpus(["x", "z"]))
+        assert pairs != [(["a"], ["x"])] and pairs != "a" and pairs != 3
+        assert repr(pairs[:1]) == "ParallelPairs(MonoCorpus(['a']), MonoCorpus(['x']))"
 
 
 TWO_COL = "I\tPRON\nsuspect\tVERB\n\nwar\tNOUN\n"
