@@ -13,15 +13,19 @@ built one ``_CHUNK_SENTS``-sentence chunk at a time. A slot is one
 of one target token form its group, NULL first, and a chunk's ``group_ptr``
 gives each of its groups' slot ranges. Groups never cross chunks. Each slot
 holds ``local``, the int32 index of its (source type, target type) pair
-among the chunk's sorted distinct pair keys, found with ``np.unique``. The
-one size limit is that int32 index: ``ValidationError`` is raised, before
-any slot array is made, when a chunk has more than 2**31 slots. No per-slot
-group index is stored; code that needs one makes it from ``group_ptr`` with
-``np.repeat``.
+among the chunk's sorted distinct pair keys. The one size limit is that
+int32 index: ``ValidationError`` is raised, before any slot array is made,
+when a chunk has more than 2**31 slots. No per-slot group index is stored;
+code that needs one makes it from ``group_ptr`` with ``np.repeat``.
 
-Training merges the chunks' distinct keys into the table's ``_keys`` (one
-sort and a first-of-run mask) and maps each chunk's keys to the table pair
-ids ``pairs`` with ``searchsorted``. EM runs on those chunks. The E-step
+Both the chunk layout and the table merge find distinct keys with
+``_unique_inverse``: each key is packed above its index in one int64 word,
+``key << b | index``, and the words are sorted in place, so no argsort and
+no ``searchsorted`` runs. A chunk packs compact keys, made from the ranks of
+its own source and target ids, so the packed words fit whatever the number
+of types. Training merges the chunks' distinct keys with one more packed
+sort, which gives the table's ``_keys`` and, for each chunk, the table pair
+ids ``pairs`` of its keys. EM runs on those chunks. The E-step
 (``_em_numpy.estep_chunk``, in numpy) takes a chunk's pair probabilities
 ``t[pairs]``, spreads each group's posterior over its slots' pairs and
 returns counts for the chunk's pairs only; they are added into the table's
@@ -78,6 +82,10 @@ from . import _em_numpy
 NULL_WORD = "<NULL>"
 
 _CHUNK_SENTS = 1024
+
+# Bits of one packed sort word (see _unique_inverse): a signed int64 word
+# holds 63. Tests lower it to sort in bands.
+_PACK_BITS = 63
 
 # The E-step is called through this module attribute rather than imported by
 # name: the benchmark's tracer (perfbench/spans.py) finds it as
@@ -345,6 +353,56 @@ def _offsets(lens) -> np.ndarray:
     return ptr
 
 
+def _unique_inverse(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(values, return_inverse=True)`` for non-negative int64
+    values, the inverse as int32, made with in-place sorts of packed words.
+    ``values`` is overwritten.
+
+    Value i is packed above its index, ``values[i] << b | i`` with ``b`` the
+    bit width of the largest index, so one plain sort orders the values and
+    carries each one's index along. The first of each run of equal high
+    parts is a distinct value, and the running count of run starts,
+    scattered back through the low parts, is the inverse. Where the values
+    do not fit beside ``b`` index bits in ``_PACK_BITS`` bits, they are
+    sorted in bands of ``2**(_PACK_BITS - b)`` consecutive values, lowest
+    band first, each band's values packed less the band's base; every
+    corpus of Bible scale fits in one band.
+    """
+    n = len(values)
+    b = (n - 1).bit_length()
+    band = _PACK_BITS - b
+    top = int(values.max(initial=0))
+    distinct = []
+    inverse = None  # made once the first band's sort is done, to lower the peak
+    seen = 0
+    for base in range(0, top + 1, 1 << band):
+        if top >> band:
+            at = np.flatnonzero((values >= base) & (values < base + (1 << band)))
+            word = values[at] - base
+        else:  # one band: every value, packed in place
+            at = np.arange(n)
+            word = values
+        word <<= b
+        word |= at
+        del at
+        word.sort()
+        high = word >> b
+        first = np.empty(len(word), dtype=bool)
+        first[:1] = True
+        np.not_equal(high[1:], high[:-1], out=first[1:])
+        distinct.append(high[first])
+        distinct[-1] += base
+        del high
+        rank = np.cumsum(first, dtype=np.int32)
+        rank += seen - 1
+        seen += len(distinct[-1])
+        word &= (1 << b) - 1
+        if inverse is None:
+            inverse = np.empty(n, dtype=np.int32)
+        inverse[word] = rank
+    return distinct[0] if len(distinct) == 1 else np.concatenate(distinct), inverse
+
+
 def _chunk_layouts(src_lens, src_flat, tgt_lens, tgt_flat, n_tgt, src_map=None, tgt_map=None):
     """The slot layout of a corpus, one ``_CHUNK_SENTS``-sentence chunk at a
     time.
@@ -357,6 +415,15 @@ def _chunk_layouts(src_lens, src_flat, tgt_lens, tgt_flat, n_tgt, src_map=None, 
     ``src_map[id]`` when ``src_map`` is given, else the id in ``src_flat``,
     and likewise for targets; the maps are applied one chunk at a time, so
     no mapped copy of a whole side is made.
+
+    No pair key is formed per slot. Each chunk's source and target ids are
+    ranked among the chunk's own (``_unique_inverse``), and a slot's
+    compact key, its source rank shifted above the bits of its target rank,
+    or 0 for an unknown pair, orders the slots as their pair keys would.
+    One packed sort of the compact keys gives the chunk's distinct pairs
+    and each slot's index among them. The compact keys are bounded by the
+    chunk's own id counts, not by ``n_tgt``, so any key space whose keys
+    fit int64 lays out.
 
     Yields, per chunk, ``group_ptr`` (group g's slots are
     ``group_ptr[g]:group_ptr[g+1]``), the sorted distinct pair keys and
@@ -381,18 +448,32 @@ def _chunk_layouts(src_lens, src_flat, tgt_lens, tgt_flat, n_tgt, src_map=None, 
         group_ptr = _offsets(np.repeat(s_lens + 1, t_lens))
         widths = np.diff(group_ptr)
         # A "block" is a sentence's NULL id followed by its source ids; the
-        # source id of a slot is read from its sentence's block at the
-        # slot's offset within its group.
+        # source rank of a slot is read from its sentence's block at the
+        # slot's offset within its group. Ids are ranked shifted by 1, so
+        # an unknown id (-1) is rank 0 when the chunk has one.
         blocks = np.insert(s_flat, _offsets(s_lens)[:-1], 0)
+        e_ids, e_rank = _unique_inverse(blocks + 1)
+        f_ids, f_rank = _unique_inverse(t_flat + 1)
+        e_ids -= 1
+        f_ids -= 1
+        f_bits = (len(f_ids) - 1).bit_length()
         block_of_group = np.repeat(_offsets(s_lens + 1)[:-1], t_lens)
-        shift = np.repeat(group_ptr[:-1] - block_of_group, widths)
-        slot_e = blocks[np.arange(group_ptr[-1]) - shift]
-        slot_f = np.repeat(t_flat, widths)
-        keys = slot_e * n_tgt
-        keys += slot_f
-        keys[(slot_e < 0) | (slot_f < 0)] = -1
-        pair_keys, local = np.unique(keys, return_inverse=True)
-        yield group_ptr, pair_keys, local.astype(np.int32)
+        at = np.arange(group_ptr[-1])
+        at -= np.repeat(group_ptr[:-1] - block_of_group, widths)
+        compact = (e_rank.astype(np.int64) << f_bits)[at]
+        compact |= np.repeat(f_rank, widths)
+        # a slot with an unknown id (rank 0 on a side that has one) takes
+        # compact key 0, which no known pair has then
+        if len(e_ids) and e_ids[0] < 0:
+            compact[compact < 1 << f_bits] = 0
+        if len(f_ids) and f_ids[0] < 0:
+            compact[compact & ((1 << f_bits) - 1) == 0] = 0
+        distinct, local = _unique_inverse(compact)
+        e = e_ids[distinct >> f_bits]
+        f = f_ids[distinct & ((1 << f_bits) - 1)]
+        pair_keys = e * n_tgt + f
+        pair_keys[(e < 0) | (f < 0)] = -1
+        yield group_ptr, pair_keys, local
 
 
 def train_model1(corpus: ParallelCorpus, cfg: AlignerConfig = AlignerConfig()) -> TranslationTable:
@@ -422,17 +503,17 @@ def train_model1(corpus: ParallelCorpus, cfg: AlignerConfig = AlignerConfig()) -
     # a source type's row is its id + 1
     rows = np.arange(1, n_src, dtype=np.int64)
     chunks = list(_chunk_layouts(src.lens, src.flat, tgt.lens, tgt.flat, n_tgt, rows))
-    # The table's pairs are the chunks' keys merged: sorted, first of each run.
+    # The table's pairs are the chunks' keys merged: one packed sort of all
+    # of them gives the sorted distinct keys and each chunk key's pair id.
+    # The chunks' own keys are dropped before the sort's scratch is made.
+    cuts = np.cumsum([len(keys) for _, keys, _ in chunks[:-1]])
     merged = np.concatenate([keys for _, keys, _ in chunks])
-    merged.sort()
-    first = np.empty(len(merged), dtype=bool)
-    first[:1] = True
-    np.not_equal(merged[1:], merged[:-1], out=first[1:])
-    pair_keys = merged[first]
-    del merged, first
-    chunks = [(group_ptr, np.searchsorted(pair_keys, keys).astype(np.int32), local)
-              for group_ptr, keys, local in chunks]
-    row_ptr = np.searchsorted(pair_keys // n_tgt, np.arange(n_src + 1, dtype=np.int64))
+    chunks = [(group_ptr, local) for group_ptr, _, local in chunks]
+    pair_keys, pair_of = _unique_inverse(merged)
+    del merged
+    chunks = [(group_ptr, pairs, local)
+              for (group_ptr, local), pairs in zip(chunks, np.split(pair_of, cuts))]
+    row_ptr = np.searchsorted(pair_keys, np.arange(n_src + 1, dtype=np.int64) * n_tgt)
     row_len = np.diff(row_ptr)
 
     t = 1.0 / np.repeat(row_len, row_len).astype(np.float64)
@@ -442,12 +523,14 @@ def train_model1(corpus: ParallelCorpus, cfg: AlignerConfig = AlignerConfig()) -
         counts = np.zeros(len(pair_keys))
         ll = 0.0
         for group_ptr, pairs, local in chunks:
+            pairs = pairs.astype(np.intp)  # cast once for the gather and the add
             part, part_ll = _DEFAULT_KERNEL.estep_chunk(t[pairs], local, group_ptr)
             np.add.at(counts, pairs, part)  # a chunk's pairs are distinct
             ll += part_ll
         log_likelihoods.append(ll)
         row_sums = np.add.reduceat(counts, row_ptr[:-1])
-        t = counts / np.repeat(row_sums, row_len)
+        counts /= np.repeat(row_sums, row_len)
+        t = counts
 
     return TranslationTable(
         case_fold=cfg.case_fold,

@@ -38,14 +38,13 @@ def lexicon_pos_distribution(lex: Lexicon, tagged_reference: LabeledCorpus) -> P
         raise ValidationError("reference corpus must use the pos schema")
     if not tagged_reference.sentences:
         raise ValidationError("reference corpus is empty")
-    type_tags: dict[str, Counter] = {}
+    tagged: Counter[tuple[str, str]] = Counter()
     for sent in tagged_reference.sentences:
-        for token, tag in zip(sent.tokens, sent.labels):
-            type_tags.setdefault(token.casefold(), Counter())[tag] += 1
-    majority = {
-        word: min((-n, tag) for tag, n in tags.items())[1]
-        for word, tags in type_tags.items()
-    }
+        tagged.update(zip(map(str.casefold, sent.tokens), sent.labels))
+    best: dict[str, tuple[int, str]] = {}  # word -> (-count, tag) of its majority tag
+    for (word, tag), n in tagged.items():
+        best[word] = min(best.get(word, (0, "")), (-n, tag))
+    majority = {word: tag for word, (_, tag) in best.items()}
     tag_counts: Counter = Counter()
     missing = 0
     for source in lex.entries:

@@ -375,6 +375,101 @@ def test_chunk_layout_accepts_any_key_space_and_rejects_oversized_chunks():
         next(_chunk_layouts(*ids, 1))
 
 
+def reference_layouts(src_lens, src_flat, tgt_lens, tgt_flat, n_tgt, src_map, tgt_map, chunk):
+    """``_chunk_layouts`` from per-sentence loops and ``np.unique``."""
+    s_ptr = np.concatenate([[0], np.cumsum(src_lens)])
+    t_ptr = np.concatenate([[0], np.cumsum(tgt_lens)])
+    layouts = []
+    for lo in range(0, max(len(src_lens), 1), chunk):
+        widths, keys = [], []
+        for k in range(lo, min(lo + chunk, len(src_lens))):
+            src = [0] + [e if src_map is None else src_map[e] for e in src_flat[s_ptr[k]:s_ptr[k + 1]]]
+            for f in tgt_flat[t_ptr[k]:t_ptr[k + 1]]:
+                f = f if tgt_map is None else tgt_map[f]
+                widths.append(len(src))
+                keys += [-1 if e < 0 or f < 0 else int(e) * n_tgt + int(f) for e in src]
+        pair_keys, local = np.unique(np.array(keys, dtype=np.int64), return_inverse=True)
+        layouts.append((np.concatenate([[0], np.cumsum(widths)]), pair_keys, local))
+    return layouts
+
+
+@st.composite
+def layout_inputs(draw):
+    n_sents = draw(st.integers(0, 7))
+    src_lens = draw(st.lists(st.integers(0, 4), min_size=n_sents, max_size=n_sents))
+    tgt_lens = draw(st.lists(st.integers(0, 4), min_size=n_sents, max_size=n_sents))
+    n_src_ids, n_tgt_ids = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    src_flat = draw(st.lists(st.integers(0, n_src_ids - 1), min_size=sum(src_lens),
+                             max_size=sum(src_lens)))
+    tgt_flat = draw(st.lists(st.integers(0, n_tgt_ids - 1), min_size=sum(tgt_lens),
+                             max_size=sum(tgt_lens)))
+    src_map = tgt_map = None
+    n_tgt = n_tgt_ids
+    if draw(st.booleans()):  # ids mapped to a table's, -1 for a word it lacks
+        n_tgt = draw(st.integers(1, 8))
+        src_map = draw(st.lists(st.integers(-1, 7), min_size=n_src_ids, max_size=n_src_ids))
+        tgt_map = draw(st.lists(st.integers(-1, n_tgt - 1), min_size=n_tgt_ids,
+                                max_size=n_tgt_ids))
+    n_tgt = draw(st.sampled_from([n_tgt, n_tgt + 3, 2**40]))
+    ids = [np.array(x, dtype=np.int64) for x in (src_lens, src_flat, tgt_lens, tgt_flat)]
+    maps = [None if m is None else np.array(m, dtype=np.int64) for m in (src_map, tgt_map)]
+    return ids, n_tgt, maps
+
+
+# 63 is the int64 word; with 9 bits the larger of these small corpora are
+# sorted in several bands
+PACK_BITS = st.sampled_from([63, 9])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2**12), max_size=64), st.sampled_from([63, 8]))
+def test_unique_inverse_matches_np_unique(values, pack_bits):
+    # at most 6 index bits: 8 bits leave bands of 4 or more values
+    values = np.array(values, dtype=np.int64)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model1, "_PACK_BITS", pack_bits)
+        distinct, inverse = model1._unique_inverse(values.copy())
+    expected, expected_inverse = np.unique(values, return_inverse=True)
+    assert distinct.tolist() == expected.tolist()
+    assert inverse.dtype == np.int32 and inverse.tolist() == expected_inverse.tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(layout_inputs(), st.integers(1, 4), PACK_BITS)
+def test_chunk_layouts_match_numpy_reference(inputs, chunk, pack_bits):
+    ids, n_tgt, maps = inputs
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model1, "_CHUNK_SENTS", chunk)
+        mp.setattr(model1, "_PACK_BITS", pack_bits)
+        layouts = list(_chunk_layouts(*ids, n_tgt, *maps))
+    expected = reference_layouts(*ids, n_tgt, *maps, chunk)
+    assert len(layouts) == len(expected)
+    for (group_ptr, pair_keys, local), (ref_ptr, ref_keys, ref_local) in zip(layouts, expected):
+        assert group_ptr.tolist() == ref_ptr.tolist()
+        assert pair_keys.tolist() == ref_keys.tolist()
+        assert local.dtype == np.int32 and local.tolist() == ref_local.tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 4), PACK_BITS)
+def test_merged_table_keys_and_chunk_pairs_match_numpy_reference(rng, chunk, pack_bits):
+    corpus = EncodedCorpus.of(random_corpus(rng, max_pairs=8, max_vocab=6, max_len=4))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model1, "_CHUNK_SENTS", chunk)
+        mp.setattr(model1, "_PACK_BITS", pack_bits)
+        table = train_model1(corpus, AlignerConfig(iterations=1))
+    src, tgt = corpus.src, corpus.tgt
+    rows = np.arange(1, len(src.types) + 1)
+    expected = reference_layouts(src.lens, src.flat, tgt.lens, tgt.flat, len(tgt.types),
+                                 rows, None, chunk)
+    keys = np.unique(np.concatenate([k for _, k, _ in expected]))
+    assert table._keys.tolist() == keys.tolist()
+    chunks = table._trained_on[1]
+    assert len(chunks) == len(expected)
+    for (_, pairs, _), (_, ref_keys, _) in zip(chunks, expected):
+        assert pairs.tolist() == np.searchsorted(keys, ref_keys).tolist()
+
+
 class TestSymmetrize:
     def make(self, links, src_len=3, tgt_len=3):
         return SentenceAlignment(frozenset(links), src_len, tgt_len)

@@ -43,6 +43,15 @@ class TestPosDistribution:
         dist = lexicon_pos_distribution(build_lexicon([("fly", "dubbiena")]), ref)
         assert dist.fractions == {"NOUN": 1.0}
 
+    def test_case_variants_pool_their_counts_and_tie_to_the_smallest_tag(self):
+        # "Fly"/"fly": VERB 1 + NOUN 1 ties to NOUN; "Run"/"RUN"/"run": VERB 2
+        # beats NOUN 1, though no single spelling holds two VERBs
+        ref = pos_corpus(("Fly fly", "VERB NOUN"), ("Run RUN run", "VERB VERB NOUN"))
+        lex = build_lexicon([("fly", "dubbiena"), ("run", "ġiri")])
+        assert lexicon_pos_distribution(lex, ref).fractions == {"NOUN": 0.5, "VERB": 0.5}
+        lex = build_lexicon([("fly", "dubbiena")])
+        assert lexicon_pos_distribution(lex, ref).fractions == {"NOUN": 1.0}
+
     def test_reference_matching_is_casefolded(self, reference):
         dist = lexicon_pos_distribution(build_lexicon([("HOUSE", "dar")]), reference)
         assert dist.found == 1
