@@ -263,6 +263,18 @@ class _Side(NamedTuple):
     types: list[str]     # the folded type of each id, in first-occurrence order
 
 
+class _TypeIds(dict):
+    """Word -> id of its folded type, types numbered in order of first lookup."""
+
+    def __init__(self, fold):
+        super().__init__()
+        self.fold, self.types = fold, {}
+
+    def __missing__(self, word: str) -> int:
+        self[word] = i = self.types.setdefault(self.fold(word), len(self.types))
+        return i
+
+
 def _encode(lines: list[str], fold) -> _Side:
     """Number the folded types of the sentences held in ``lines`` from 0 in
     order of first occurrence, and give each token its type's id.
@@ -270,24 +282,18 @@ def _encode(lines: list[str], fold) -> _Side:
     The lines are split ``_CHUNK_SENTS`` at a time: splitting a whole side
     at once leaves the memory of all its token strings behind, under the EM
     working set, and looking up each line's words alone is slower."""
-    types: dict[str, int] = {}
-    ids: dict[str, int] = {}
+    ids = _TypeIds(fold)
     lens: list[int] = []
 
     def batches():
         for lo in range(0, len(lines), _CHUNK_SENTS):
             rows = list(map(str.split, lines[lo:lo + _CHUNK_SENTS]))
             lens.extend(map(len, rows))
-            words = list(itertools.chain.from_iterable(rows))
-            for word in dict.fromkeys(words):
-                if word not in ids:
-                    ids[word] = types.setdefault(fold(word), len(types))
-            yield words
+            yield from rows
 
-    # each batch's words get ids before any of them is looked up
     flat = np.fromiter(map(ids.__getitem__, itertools.chain.from_iterable(batches())),
                        dtype=np.int64)
-    return _Side(lines, np.array(lens, dtype=np.int64), flat, list(types))
+    return _Side(lines, np.array(lens, dtype=np.int64), flat, list(ids.types))
 
 
 class EncodedCorpus(Sequence):

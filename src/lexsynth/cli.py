@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage error, 2 data-format error, 3 validation
 error. Diagnostics go to stderr; corpus data is only ever written to files.
-No output file is written when a subcommand fails.
+No output file is written when a subcommand fails: a subcommand only names
+its outputs, and ``main`` writes them all, or none, once it has returned.
 
 Each subcommand runs with Python's cyclic garbage collector paused. The
 corpora, lexicons and alignments a command builds hold no reference cycles,
@@ -17,7 +18,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import gc
-import json
 import logging
 import os
 import sys
@@ -41,7 +41,7 @@ from .corpus_io import Format, Schema
 from .distill import apply_teacher_labels, distill_report
 from .errors import DataFormatError, ValidationError
 from .lexicon import LoadMode, lexicon_stats, load_lexicon, merge, save_lexicon
-from .report import lexicon_pos_distribution
+from .report import lexicon_pos_distribution, summary_json
 from .synth import SynthesisConfig
 
 logger = logging.getLogger("lexsynth")
@@ -131,8 +131,7 @@ def _fsync(path) -> None:
 
 
 def _write_json(doc: dict, path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(doc, ensure_ascii=False, indent=2) + "\n")
+    Path(path).write_text(summary_json(doc), encoding="utf-8", newline="\n")
 
 
 def _resolve_format(path, value: str) -> Format:
@@ -141,37 +140,25 @@ def _resolve_format(path, value: str) -> Format:
     return Format(value)
 
 
-def _load_logged(path):
-    """``load_lexicon`` with its dropped-line count logged to stderr."""
-    lex, dropped = load_lexicon(path)
-    if dropped:
-        logger.warning("skipped %d unusable line(s) in %s", dropped, path)
-    return lex
-
-
-def _cmd_lex_stats(args) -> int:
-    lex = _load_logged(args.lexicon)
-    stats = lexicon_stats(lex)
+def _cmd_lex_stats(args, out: _Outputs) -> None:
+    lex, _ = load_lexicon(args.lexicon)
+    stats = lexicon_stats(lex).to_dict()
     if args.json:
-        print(json.dumps(stats.to_dict(), ensure_ascii=False, indent=2))
+        print(summary_json(stats), end="")
     else:
-        for key, value in stats.to_dict().items():
+        for key, value in stats.items():
             print(f"{key}\t{value}")
-    return 0
 
 
-def _cmd_lex_merge(args) -> int:
-    base = _load_logged(args.base)
-    extra = _load_logged(args.extra)
+def _cmd_lex_merge(args, out: _Outputs) -> None:
+    base, _ = load_lexicon(args.base)
+    extra, _ = load_lexicon(args.extra)
     merged = merge(base, extra)
-    out = _Outputs()
     out.add(args.out, lambda p: save_lexicon(merged, p))
-    out.commit()
     logger.info("merged lexicon: %d pairs", merged.entry_count())
-    return 0
 
 
-def _cmd_lex_induce(args) -> int:
+def _cmd_lex_induce(args, out: _Outputs) -> None:
     cfg = AlignerConfig(
         iterations=args.iterations,
         min_count=args.min_count,
@@ -195,7 +182,6 @@ def _cmd_lex_induce(args) -> int:
     forward, backward = alignments
     combined = symmetrize(forward, backward, cfg.symmetrization)
     lex = induce_lexicon(encoded, combined, cfg)
-    out = _Outputs()
     out.add(args.out, lambda p: save_lexicon(lex, p))
     if args.dump_alignments:
         # One line per input line: a dropped pair is an empty sentence, which
@@ -204,99 +190,76 @@ def _cmd_lex_induce(args) -> int:
         dumped = Alignments(np.insert(combined.src_lens, pos, 0),
                             np.insert(combined.tgt_lens, pos, 0), combined.keys)
         out.add(args.dump_alignments, lambda p: write_alignments(dumped, p))
-    out.commit()
     logger.info("induced %d entries", lex.entry_count())
-    return 0
 
 
-def _cmd_synth_mono(args) -> int:
-    lex = _load_logged(args.lexicon)
+def _cmd_synth_mono(args, out: _Outputs) -> None:
+    lex, _ = load_lexicon(args.lexicon)
     corpus = corpus_io.read_mono(args.corpus, limit=args.limit)
     pseudo, report = synth.synth_mono(corpus, lex, SynthesisConfig(seed=args.seed))
-    out = _Outputs()
     out.add(args.out, lambda p: corpus_io.write_mono(pseudo, p))
     if args.report:
         out.add(args.report, lambda p: _write_json(report.to_dict(), p))
-    out.commit()
     logger.info("replaced %d/%d tokens", report.replaced_tokens, report.total_tokens)
-    return 0
 
 
-def _cmd_synth_labeled(args) -> int:
-    lex, dropped = load_lexicon(args.lexicon, mode=LoadMode.SINGLE_TOKEN_ONLY)
-    if dropped:
-        logger.info("dropped %d multi-token entries from %s", dropped, args.lexicon)
+def _cmd_synth_labeled(args, out: _Outputs) -> None:
+    lex, _ = load_lexicon(args.lexicon, mode=LoadMode.SINGLE_TOKEN_ONLY)
     fmt = Format(args.format)
     corpus = corpus_io.read_labeled(args.input, Schema(args.schema), fmt)
     pseudo, report = synth.synth_labeled(corpus, lex, SynthesisConfig(seed=args.seed))
-    out = _Outputs()
     out.add(args.out, lambda p: corpus_io.write_labeled(pseudo, p, fmt))
     if args.report:
         out.add(args.report, lambda p: _write_json(report.to_dict(), p))
-    out.commit()
     logger.info("replaced %d/%d tokens", report.replaced_tokens, report.total_tokens)
-    return 0
 
 
-def _cmd_distill_apply(args) -> int:
+def _cmd_distill_apply(args, out: _Outputs) -> None:
     fmt = _resolve_format(args.pseudo, args.format)
     schema = Schema(args.schema)
     pseudo = corpus_io.read_labeled(args.pseudo, schema, fmt)
     teacher = corpus_io.read_labeled(args.teacher, schema, fmt)
     distilled, changed = apply_teacher_labels(pseudo, teacher)
-    out = _Outputs()
     out.add(args.out, lambda p: corpus_io.write_labeled(distilled, p, fmt))
     if args.report:
         report = distill_report(pseudo, distilled)
         out.add(args.report, lambda p: _write_json(report.to_dict(), p))
-    out.commit()
     logger.info("teacher changed %d label position(s)", changed)
-    return 0
 
 
-def _cmd_mix_upsample(args) -> int:
+def _cmd_mix_upsample(args, out: _Outputs) -> None:
     gold = corpus_io.read_mono(args.gold)
     upsampled = mix.upsample_to_match(gold, args.target_size, args.seed)
-    out = _Outputs()
     out.add(args.out, lambda p: corpus_io.write_mono(upsampled, p))
-    out.commit()
-    return 0
 
 
-def _cmd_mix_concat(args) -> int:
+def _cmd_mix_concat(args, out: _Outputs) -> None:
     corpora = [corpus_io.read_mono(p) for p in args.inputs]
     combined = mix.concat_shuffle(corpora, args.seed, shuffle=args.shuffle)
-    out = _Outputs()
     out.add(args.out, lambda p: corpus_io.write_mono(combined, p))
-    out.commit()
-    return 0
 
 
-def _cmd_mix_joint_labeled(args) -> int:
+def _cmd_mix_joint_labeled(args, out: _Outputs) -> None:
     fmt = _resolve_format(args.gold, args.format)
     schema = Schema(args.schema)
     gold = corpus_io.read_labeled(args.gold, schema, fmt)
     pseudo = corpus_io.read_labeled(args.pseudo, schema, fmt)
     joint = mix.build_joint_labeled(gold, pseudo)
-    out = _Outputs()
     out.add(args.out, lambda p: corpus_io.write_labeled(joint, p, fmt))
-    out.commit()
-    return 0
 
 
-def _cmd_report_pos_dist(args) -> int:
-    lex = _load_logged(args.lexicon)
+def _cmd_report_pos_dist(args, out: _Outputs) -> None:
+    lex, _ = load_lexicon(args.lexicon)
     fmt = _resolve_format(args.reference, args.format)
     reference = corpus_io.read_labeled(args.reference, Schema.POS, fmt)
     dist = lexicon_pos_distribution(lex, reference)
     if args.json:
-        print(json.dumps(dist.to_dict(), ensure_ascii=False, indent=2))
+        print(summary_json(dist.to_dict()), end="")
     else:
         for tag, frac in sorted(dist.fractions.items(), key=lambda kv: (-kv[1], kv[0])):
             print(f"{tag}\t{frac:.6f}")
         print(f"found\t{dist.found}")
         print(f"out_of_reference\t{dist.out_of_reference}")
-    return 0
 
 
 def _int_at_least(minimum: int):
@@ -447,7 +410,10 @@ def main(argv=None) -> int:
         return USAGE_ERROR
     try:
         with _collector_paused():
-            return args.func(args)
+            out = _Outputs()
+            args.func(args, out)
+            out.commit()
+        return 0
     except DataFormatError as exc:
         print(f"lexsynth: data format error: {exc}", file=sys.stderr)
         return DATA_FORMAT_ERROR

@@ -452,12 +452,19 @@ def _two_col_rows(path, columns: tuple[int, ...]):
 _CONLLU_NCOLS = 10
 
 
+def _is_word_id(id_field: str) -> bool:
+    """True for ASCII digits without a leading zero (``1``, ``12``)."""
+    return id_field.isdigit() and id_field.isascii() and id_field[0] != "0"
+
+
 def _is_range_or_empty_id(id_field: str) -> bool:
-    """True for a multiword-token range ID (``1-2``) or an empty-node ID (``1.1``)."""
-    return any(
-        head.isdigit() and tail.isdigit()
-        for head, _, tail in (id_field.partition("-"), id_field.partition("."))
-    )
+    """True for a multiword-token range ``N-M`` or an empty node ``N.M``:
+    N and M are word IDs, except that an empty node's N may be ``0``."""
+    start, dash, end = id_field.partition("-")
+    if dash:
+        return _is_word_id(start) and _is_word_id(end)
+    start, dot, end = id_field.partition(".")
+    return bool(dot) and (start == "0" or _is_word_id(start)) and _is_word_id(end)
 
 
 def _conllu_rows(path, columns: tuple[int, ...]):
@@ -465,7 +472,7 @@ def _conllu_rows(path, columns: tuple[int, ...]):
     ``fields`` holding each word line split at tabs.
 
     Comments, multiword-token ranges and empty nodes are kept verbatim;
-    every other line must be a 10-column word line with an integer ID, and a
+    every other line must be a 10-column word line with a word ID, and a
     block must hold at least one.
     """
     for first, lines in _blocks(path):
@@ -480,7 +487,7 @@ def _conllu_rows(path, columns: tuple[int, ...]):
                     f"expected {_CONLLU_NCOLS} columns, got {len(fields)}",
                     path=path, line=first + p,
                 )
-            if fields[0].isdigit():
+            if _is_word_id(fields[0]):
                 words.append(fields)
                 word_lines.append(p)
             elif not _is_range_or_empty_id(fields[0]):

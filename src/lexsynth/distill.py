@@ -7,7 +7,7 @@ synthesis, so labels can be swapped in with positional integrity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .corpus_io import LabeledCorpus, LabeledSentence, Schema
 from .errors import ValidationError
@@ -67,12 +67,8 @@ class DistillReport:
     per_label_confusion: dict[str, int]  # "original->teacher" → count
 
     def to_dict(self) -> dict:
-        return {
-            "positions": self.positions,
-            "changed": self.changed,
-            "change_rate": self.change_rate,
-            "per_label_confusion": dict(sorted(self.per_label_confusion.items())),
-        }
+        return {**asdict(self),
+                "per_label_confusion": dict(sorted(self.per_label_confusion.items()))}
 
 
 def distill_report(pseudo: LabeledCorpus, distilled: LabeledCorpus) -> DistillReport:

@@ -20,10 +20,13 @@ optional metadata comments (``# src_lang: xx``, ``# tgt_lang: xx``,
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import logging
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .errors import DataFormatError, ValidationError, open_input
+
+logger = logging.getLogger(__name__)
 
 UND = "und"  # undetermined language code
 
@@ -114,12 +117,7 @@ class LexiconStats:
     multi_token_targets: int
 
     def to_dict(self) -> dict:
-        return {
-            "entry_pairs": self.entry_pairs,
-            "distinct_sources": self.distinct_sources,
-            "multi_candidate_sources": self.multi_candidate_sources,
-            "multi_token_targets": self.multi_token_targets,
-        }
+        return asdict(self)
 
 
 _META_KEYS = ("src_lang", "tgt_lang", "provenance")
@@ -128,15 +126,15 @@ _META_KEYS = ("src_lang", "tgt_lang", "provenance")
 def load_lexicon(path, mode: LoadMode = LoadMode.ALLOW_MULTI_TOKEN) -> tuple[Lexicon, int]:
     """Read a two-column TSV lexicon.
 
-    Returns (lexicon, dropped_count). In SINGLE_TOKEN_ONLY mode entries with a
-    multi-token target are dropped and counted; in both modes lines whose
-    source field itself contains whitespace are dropped and counted, since
-    they can never match a word-to-word lookup. Duplicate pairs are silently
-    collapsed keeping first-seen order.
+    Returns (lexicon, dropped_count). In both modes lines whose source field
+    itself contains whitespace, which can never match a word-to-word lookup,
+    are dropped and their count logged as a warning; in SINGLE_TOKEN_ONLY
+    mode entries with a multi-token target are dropped too, their count
+    logged at INFO. Duplicate pairs are silently collapsed keeping first-seen order.
     """
     meta: dict[str, str] = {}
     lex = Lexicon()
-    dropped = 0
+    unusable = multi_token = 0
     with open_input(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
@@ -159,16 +157,20 @@ def load_lexicon(path, mode: LoadMode = LoadMode.ALLOW_MULTI_TOKEN) -> tuple[Lex
             if not source or not target:
                 raise DataFormatError("empty source or target field", path=path, line=lineno)
             if source.split() != [source]:
-                dropped += 1
+                unusable += 1
                 continue
             if mode is LoadMode.SINGLE_TOKEN_ONLY and len(target.split()) > 1:
-                dropped += 1
+                multi_token += 1
                 continue
             provenance = Provenance.INDUCED if meta.get("provenance") == "induced" else Provenance.BASE
             lex.add(source, target, provenance)
     lex.src_lang = meta.get("src_lang", UND)
     lex.tgt_lang = meta.get("tgt_lang", UND)
-    return lex, dropped
+    if unusable:
+        logger.warning("skipped %d unusable line(s) in %s", unusable, path)
+    if multi_token:
+        logger.info("dropped %d multi-token entries from %s", multi_token, path)
+    return lex, unusable + multi_token
 
 
 def save_lexicon(lex: Lexicon, path) -> None:

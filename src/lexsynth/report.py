@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Mapping, Sequence
 
 from . import __version__
@@ -20,11 +20,7 @@ class PosDistribution:
     out_of_reference: int
 
     def to_dict(self) -> dict:
-        return {
-            "fractions": dict(sorted(self.fractions.items())),
-            "found": self.found,
-            "out_of_reference": self.out_of_reference,
-        }
+        return {**asdict(self), "fractions": dict(sorted(self.fractions.items()))}
 
 
 def lexicon_pos_distribution(lex: Lexicon, tagged_reference: LabeledCorpus) -> PosDistribution:
@@ -79,5 +75,6 @@ def pipeline_summary(
 
 
 def summary_json(summary: Mapping) -> str:
-    """Byte-stable JSON rendering of a pipeline summary."""
+    """Byte-stable JSON rendering of a pipeline summary or a report's
+    ``to_dict()``, the one the CLI writes and prints: two-space indent, one LF."""
     return json.dumps(summary, ensure_ascii=False, indent=2) + "\n"

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from itertools import chain
 
 import numpy as np
@@ -84,14 +84,7 @@ class CoverageReport:
     sentences: int
 
     def to_dict(self) -> dict:
-        return {
-            "total_tokens": self.total_tokens,
-            "replaced_tokens": self.replaced_tokens,
-            "replacement_rate": self.replacement_rate,
-            "distinct_types": self.distinct_types,
-            "covered_types": self.covered_types,
-            "sentences": self.sentences,
-        }
+        return asdict(self)
 
 
 class _Types(dict):

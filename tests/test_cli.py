@@ -300,6 +300,35 @@ class TestSynthCommands:
         tokens = [l.split("\t")[0] for l in out.read_text(encoding="utf-8").splitlines()]
         assert tokens == ["il", "unnecessary", "end"]
 
+    def test_labeled_logs_each_lexicon_drop_reason(self, tmp_path, caplog):
+        # "a b" can never match a token; "y z" is a multi-token target
+        lex = lexicon_file(tmp_path, [("a b", "x"), ("c", "y z"), ("the", "il")])
+        data = two_col_file(tmp_path, "the c", "DET NOUN")
+        out = tmp_path / "out.tsv"
+        with caplog.at_level(logging.INFO, logger="lexsynth"):
+            assert main(["synth", "labeled", "--input", str(data), "--format", "two-col",
+                         "--schema", "pos", "--lexicon", str(lex), "--out", str(out),
+                         "--seed", "3"]) == 0
+        assert out.read_text(encoding="utf-8") == "il\tDET\nc\tNOUN\n"
+        assert [(r.levelno, r.getMessage()) for r in caplog.records
+                if str(lex) in r.getMessage()] == [
+            (logging.WARNING, f"skipped 1 unusable line(s) in {lex}"),
+            (logging.INFO, f"dropped 1 multi-token entries from {lex}")]
+
+    def test_labeled_report(self, tmp_path):
+        lex = lexicon_file(tmp_path, LABELED_LEX_PAIRS)
+        data = two_col_file(tmp_path, LABELED_SRC, LABELED_TAGS)
+        out, report = tmp_path / "out.tsv", tmp_path / "coverage.json"
+        assert main(["synth", "labeled", "--input", str(data), "--format", "two-col",
+                     "--schema", "pos", "--lexicon", str(lex), "--out", str(out),
+                     "--seed", "3", "--report", str(report)]) == 0
+        corpus = corpus_io.read_labeled(data, Schema.POS)
+        lexicon, _ = load_lexicon(lex, LoadMode.SINGLE_TOKEN_ONLY)
+        _, want = synth.synth_labeled(corpus, lexicon, SynthesisConfig(seed=3))
+        assert report.read_text(encoding="utf-8") == summary_json(want.to_dict())
+        assert json.loads(report.read_text(encoding="utf-8"))["total_tokens"] == len(
+            LABELED_SRC.split())
+
     def test_labeled_conllu_replaces_form_only(self, tmp_path):
         lex = lexicon_file(tmp_path, [("week", "ġimgħa")])
         data = tmp_path / "in.conllu"
@@ -439,6 +468,32 @@ class TestReportCommand:
                      "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["fractions"] == {"NOUN": 0.5, "VERB": 0.5}
+
+    def test_pos_dist_text(self, tmp_path, capsys):
+        # tags by descending fraction, ties by tag, then the two counts
+        lex = lexicon_file(tmp_path, [("house", "dar"), ("run", "ġiri"), ("big", "kbir"),
+                                      ("dog", "kelb"), ("zebra", "żebra")])
+        ref = two_col_file(tmp_path, "house run big dog", "NOUN VERB ADJ NOUN", "ref.tsv")
+        assert main(["report", "pos-dist", "--lexicon", str(lex), "--reference", str(ref)]) == 0
+        assert capsys.readouterr().out == (
+            "NOUN\t0.500000\nADJ\t0.250000\nVERB\t0.250000\nfound\t4\nout_of_reference\t1\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["lex.tsv", "ref.tsv"]
+
+    @pytest.mark.parametrize("command", ["lex-stats", "pos-dist"])
+    def test_json_on_stdout_is_indented_utf8_with_one_lf(self, tmp_path, capsys, command):
+        lex = lexicon_file(tmp_path, [("house", "dar"), ("run", "ġiri")])
+        ref = two_col_file(tmp_path, "house run", "NOUN ĠVERB", "ref.tsv")
+        argv, want = {
+            "lex-stats": (["lex", "stats", "--lexicon", str(lex), "--json"],
+                          {"entry_pairs": 2, "distinct_sources": 2,
+                           "multi_candidate_sources": 0, "multi_token_targets": 0}),
+            "pos-dist": (["report", "pos-dist", "--lexicon", str(lex), "--reference", str(ref),
+                          "--json"],
+                         {"fractions": {"NOUN": 0.5, "ĠVERB": 0.5}, "found": 2,
+                          "out_of_reference": 0}),
+        }[command]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == json.dumps(want, ensure_ascii=False, indent=2) + "\n"
 
     def test_pos_dist_logs_dropped_lines(self, tmp_path, capsys, caplog):
         clean = lexicon_file(tmp_path, [("house", "dar"), ("run", "ġiri")], "clean.tsv")
@@ -811,6 +866,20 @@ def test_commit_restores_every_target_when_a_rename_fails(tmp_path, monkeypatch,
     assert main(["synth", "mono", "--corpus", str(corpus), "--lexicon", str(lex),
                  "--out", str(out), "--report", str(report), "--seed", "1"]) == 2
     assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("fails", [False, True])
+def test_main_writes_what_the_command_names_once_it_returns(tmp_path, monkeypatch, fails):
+    def command(args, out):
+        out.add(args.out, lambda p: p.write_text("x\n", encoding="utf-8"))
+        if fails:
+            raise cli.ValidationError("late failure")
+
+    monkeypatch.setattr(cli, "_cmd_mix_upsample", command)
+    out = tmp_path / "out.txt"
+    assert main(["mix", "upsample", "--gold", "unread.txt", "--target-size", "1",
+                 "--out", str(out), "--seed", "1"]) == (3 if fails else 0)
+    assert [p.name for p in tmp_path.iterdir()] == ([] if fails else ["out.txt"])
 
 
 def test_commit_removes_a_temp_file_whose_write_failed(tmp_path):

@@ -391,11 +391,16 @@ class TestConllu:
         assert sent.passthrough.lines == [WORD.rstrip("\n"), line]
         assert sent.passthrough.word_lines == [0]
 
-    @pytest.mark.parametrize(
-        "id_field", ["1-2-3", "1.2.3", "1-2.3", "1.2-3", "-1", "1-", ".1", "1.", "a", ""])
+    # from "0" on, str.isdigit() takes every part; a word ID is ASCII digits
+    # without a leading zero, and ranges and empty nodes are built from them
+    @pytest.mark.parametrize("id_field", [
+        "1-2-3", "1.2.3", "1-2.3", "1.2-3", "-1", "1-", ".1", "1.", "a", "",
+        "0", "01", "\u00b2", "\u0661", "\u0661-\u0662", "0-1", "01-2", "1-02",
+        "1.0", "00.1", "01.1", "1.01", "\u0661.1", "1.\u0661"])
     def test_other_ids_rejected(self, tmp_path, id_field):
         path = write(tmp_path, WORD + id_field + "\tx" + "\t_" * 8 + "\n", "x.conllu")
-        with pytest.raises(DataFormatError, match="line 2: bad ID field"):
+        with pytest.raises(DataFormatError,
+                           match=re.escape(f"line 2: bad ID field {id_field!r}")):
             read_labeled(path, Schema.POS, Format.CONLLU)
 
     def test_whitespace_only_line_separates_sentences(self, tmp_path):
@@ -549,6 +554,16 @@ class TestValidation:
         with pytest.raises(ValidationError):
             LabeledSentence([], Schema.POS, labels=[])
 
+    @pytest.mark.parametrize("heads, deprels, message", [
+        (None, ["root", "obj"], "dep sentence needs heads and deprels"),
+        ([0, 1], None, "dep sentence needs heads and deprels"),
+        ([0], ["root", "obj"], "dep column length must equal token count"),
+        ([0, 1], ["root"], "dep column length must equal token count"),
+    ])
+    def test_dep_columns_must_match_the_tokens(self, heads, deprels, message):
+        with pytest.raises(ValidationError, match=message):
+            LabeledSentence(["a", "b"], Schema.DEP, heads=heads, deprels=deprels)
+
     def test_dep_head_range(self):
         with pytest.raises(ValidationError):
             LabeledSentence(["a"], Schema.DEP, heads=[2], deprels=["root"])
@@ -565,6 +580,13 @@ class TestValidation:
 def test_sniff_format(tmp_path):
     assert sniff_format(write(tmp_path, TWO_COL, "a.tsv")) is Format.TWO_COL
     assert sniff_format(write(tmp_path, CONLLU, "b.conllu")) is Format.CONLLU
+
+
+@pytest.mark.parametrize("undecided, want", [(19, Format.CONLLU), (20, Format.TWO_COL)])
+def test_sniff_format_reads_only_the_first_20_non_blank_lines(tmp_path, undecided, want):
+    # a comment decides CoNLL-U only among the first 20 non-blank lines
+    text = "a\tX\n\n" * undecided + "# comment\n" + WORD
+    assert sniff_format(write(tmp_path, text, "a.tsv")) is want
 
 
 def test_sniff_format_hash_line_with_a_tab_is_not_a_comment(tmp_path):

@@ -33,6 +33,16 @@ class TestApply:
         with pytest.raises(ValidationError, match=r"sentence 0, position 11"):
             apply_teacher_labels(pseudo, pos_corpus((tampered, LABELED_TAGS)))
 
+    @pytest.mark.parametrize("teacher_text, message", [
+        ("a b", "sentence 0: pseudo has 3 tokens, teacher has 2"),
+        ("a b c d", "sentence 0: pseudo has 3 tokens, teacher has 4"),
+    ])
+    def test_token_count_mismatch_rejected(self, teacher_text, message):
+        # the shared tokens match, so no position is named
+        tags = " ".join("X" for _ in teacher_text.split())
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            apply_teacher_labels(pos_corpus(("a b c", "X X X")), pos_corpus((teacher_text, tags)))
+
     def test_sentence_count_mismatch_rejected(self, pseudo):
         empty = LabeledCorpus(Schema.POS, [])
         with pytest.raises(ValidationError, match="count"):

@@ -1,3 +1,4 @@
+import logging
 import random
 import time
 
@@ -74,6 +75,24 @@ class TestLoad:
             lex, dropped = load_lexicon(path, mode)
             assert lex.entry_count() == 1
             assert dropped == 1
+
+    @pytest.mark.parametrize("text, mode, want_dropped, records", [
+        ("a b\tx\nc\ty z\nd\te\nf\tg h\n", LoadMode.ALLOW_MULTI_TOKEN, 1,
+         [(logging.WARNING, "skipped 1 unusable line(s) in {}")]),
+        ("a b\tx\nc\ty z\nd\te\nf\tg h\n", LoadMode.SINGLE_TOKEN_ONLY, 3,
+         [(logging.WARNING, "skipped 1 unusable line(s) in {}"),
+          (logging.INFO, "dropped 2 multi-token entries from {}")]),
+        ("d\te\n", LoadMode.SINGLE_TOKEN_ONLY, 0, []),
+    ])
+    def test_each_drop_reason_logged_with_its_count(self, tmp_path, caplog, text, mode,
+                                                    want_dropped, records):
+        # the returned count is the sum; the log names each reason apart
+        path = write(tmp_path, text)
+        with caplog.at_level(logging.DEBUG, logger="lexsynth"):
+            lex, dropped = load_lexicon(path, mode)
+        assert dropped == want_dropped
+        assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+            ("lexsynth.lexicon", level, message.format(path)) for level, message in records]
 
     def test_duplicates_collapse_keeping_first_seen_order(self, tmp_path):
         path = write(tmp_path, "the\til\nThe\tli\nTHE\til\n")

@@ -3,10 +3,16 @@ import json
 import pytest
 
 from conftest import build_lexicon, pos_corpus
+from lexsynth.distill import DistillReport
 from lexsynth.errors import ValidationError
-from lexsynth.lexicon import Lexicon, lexicon_stats
-from lexsynth.report import lexicon_pos_distribution, pipeline_summary, summary_json
-from lexsynth.synth import SynthesisConfig, coverage
+from lexsynth.lexicon import Lexicon, LexiconStats, lexicon_stats
+from lexsynth.report import (
+    PosDistribution,
+    lexicon_pos_distribution,
+    pipeline_summary,
+    summary_json,
+)
+from lexsynth.synth import CoverageReport, SynthesisConfig, coverage
 
 
 @pytest.fixture
@@ -65,6 +71,45 @@ class TestPosDistribution:
         from lexsynth.corpus_io import LabeledCorpus, Schema
         with pytest.raises(ValidationError):
             lexicon_pos_distribution(Lexicon(), LabeledCorpus(Schema.POS, []))
+
+    @pytest.mark.parametrize("schema", ["ner", "dep"])
+    def test_non_pos_reference_rejected(self, schema):
+        from lexsynth.corpus_io import LabeledCorpus, LabeledSentence, Schema
+        labels = ({"heads": [0], "deprels": ["root"]} if schema == "dep"
+                  else {"labels": ["O"]})
+        ref = LabeledCorpus(Schema(schema), [LabeledSentence(["run"], Schema(schema), **labels)])
+        with pytest.raises(ValidationError, match="reference corpus must use the pos schema"):
+            lexicon_pos_distribution(build_lexicon([("run", "ġiri")]), ref)
+
+
+class TestReportDicts:
+    """Each report's ``to_dict`` lists its fields in declaration order, with
+    a dict field's keys sorted even in a report built by hand."""
+
+    def test_field_order_and_sorted_dicts(self):
+        cases = [
+            (CoverageReport(10, 4, 0.4, 6, 2, 3), {
+                "total_tokens": 10, "replaced_tokens": 4, "replacement_rate": 0.4,
+                "distinct_types": 6, "covered_types": 2, "sentences": 3}),
+            (LexiconStats(5, 3, 1, 2), {
+                "entry_pairs": 5, "distinct_sources": 3, "multi_candidate_sources": 1,
+                "multi_token_targets": 2}),
+            (DistillReport(4, 2, 0.5, {"VERB->NOUN": 1, "AUX->NOUN": 1}), {
+                "positions": 4, "changed": 2, "change_rate": 0.5,
+                "per_label_confusion": {"AUX->NOUN": 1, "VERB->NOUN": 1}}),
+            (PosDistribution({"VERB": 0.25, "NOUN": 0.75}, 4, 1), {
+                "fractions": {"NOUN": 0.75, "VERB": 0.25}, "found": 4,
+                "out_of_reference": 1}),
+        ]
+        for report, want in cases:
+            got = report.to_dict()
+            assert json.dumps(got) == json.dumps(want)  # same keys in the same order
+
+    def test_summary_json_renders_utf8_with_two_space_indent_and_one_lf(self):
+        doc = DistillReport(1, 1, 1.0, {"ġ->x": 1}).to_dict()
+        assert summary_json(doc) == (
+            '{\n  "positions": 1,\n  "changed": 1,\n  "change_rate": 1.0,\n'
+            '  "per_label_confusion": {\n    "ġ->x": 1\n  }\n}\n')
 
 
 class TestPipelineSummary:
