@@ -21,11 +21,13 @@ code that needs one makes it from ``group_ptr`` with ``np.repeat``.
 Both the chunk layout and the table merge find distinct keys with
 ``_unique_inverse``: each key is packed above its index in one int64 word,
 ``key << b | index``, and the words are sorted in place, so no argsort and
-no ``searchsorted`` runs. A chunk packs compact keys, made from the ranks of
-its own source and target ids, so the packed words fit whatever the number
-of types. Training merges the chunks' distinct keys with one more packed
-sort, which gives the table's ``_keys`` and, for each chunk, the table pair
-ids ``pairs`` of its keys. EM runs on those chunks. The E-step
+no ``searchsorted`` runs. A chunk packs its slots' plain pair keys. Keys
+too large to share a word with the index bits go to ``np.unique`` instead,
+so there is no limit on the number of types; a real corpus's keys never
+do (``n_src * n_tgt`` is about 2**24 at 100k verse pairs). Training merges
+the chunks' distinct keys with one more packed sort, which gives the
+table's ``_keys`` and, for each chunk, the table pair ids ``pairs`` of its
+keys. EM runs on those chunks. The E-step
 (``_em_numpy.estep_chunk``, in numpy) takes a chunk's pair probabilities
 ``t[pairs]``, spreads each group's posterior over its slots' pairs and
 returns counts for the chunk's pairs only; they are added into the table's
@@ -84,7 +86,7 @@ NULL_WORD = "<NULL>"
 _CHUNK_SENTS = 1024
 
 # Bits of one packed sort word (see _unique_inverse): a signed int64 word
-# holds 63. Tests lower it to sort in bands.
+# holds 63. Tests lower it to take the np.unique fallback.
 _PACK_BITS = 63
 
 # The E-step is called through this module attribute rather than imported by
@@ -361,52 +363,39 @@ def _offsets(lens) -> np.ndarray:
 
 def _unique_inverse(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``np.unique(values, return_inverse=True)`` for non-negative int64
-    values, the inverse as int32, made with in-place sorts of packed words.
-    ``values`` is overwritten.
+    values, the inverse as int32, made with one in-place sort of packed
+    words. ``values`` is overwritten.
 
     Value i is packed above its index, ``values[i] << b | i`` with ``b`` the
     bit width of the largest index, so one plain sort orders the values and
     carries each one's index along. The first of each run of equal high
     parts is a distinct value, and the running count of run starts,
-    scattered back through the low parts, is the inverse. Where the values
-    do not fit beside ``b`` index bits in ``_PACK_BITS`` bits, they are
-    sorted in bands of ``2**(_PACK_BITS - b)`` consecutive values, lowest
-    band first, each band's values packed less the band's base; every
-    corpus of Bible scale fits in one band.
+    scattered back through the low parts, is the inverse. Values that do not
+    fit beside ``b`` index bits in ``_PACK_BITS`` bits (the largest at or
+    above ``2**(_PACK_BITS - b)``) go to ``np.unique`` instead; the pair keys
+    of a Bible-scale corpus are far below that bound.
     """
     n = len(values)
     b = (n - 1).bit_length()
-    band = _PACK_BITS - b
-    top = int(values.max(initial=0))
-    distinct = []
-    inverse = None  # made once the first band's sort is done, to lower the peak
-    seen = 0
-    for base in range(0, top + 1, 1 << band):
-        if top >> band:
-            at = np.flatnonzero((values >= base) & (values < base + (1 << band)))
-            word = values[at] - base
-        else:  # one band: every value, packed in place
-            at = np.arange(n)
-            word = values
-        word <<= b
-        word |= at
-        del at
-        word.sort()
-        high = word >> b
-        first = np.empty(len(word), dtype=bool)
-        first[:1] = True
-        np.not_equal(high[1:], high[:-1], out=first[1:])
-        distinct.append(high[first])
-        distinct[-1] += base
-        del high
-        rank = np.cumsum(first, dtype=np.int32)
-        rank += seen - 1
-        seen += len(distinct[-1])
-        word &= (1 << b) - 1
-        if inverse is None:
-            inverse = np.empty(n, dtype=np.int32)
-        inverse[word] = rank
-    return distinct[0] if len(distinct) == 1 else np.concatenate(distinct), inverse
+    if int(values.max(initial=0)).bit_length() + b > _PACK_BITS:
+        distinct, inverse = np.unique(values, return_inverse=True)
+        return distinct, inverse.astype(np.int32)
+    word = values
+    word <<= b
+    word |= np.arange(n)
+    word.sort()
+    high = word >> b
+    first = np.empty(n, dtype=bool)
+    first[:1] = True
+    np.not_equal(high[1:], high[:-1], out=first[1:])
+    distinct = high[first]
+    del high
+    rank = np.cumsum(first, dtype=np.int32)
+    rank -= 1
+    word &= (1 << b) - 1
+    inverse = np.empty(n, dtype=np.int32)  # made after the sort, to lower the peak
+    inverse[word] = rank
+    return distinct, inverse
 
 
 def _chunk_layouts(src_lens, src_flat, tgt_lens, tgt_flat, n_tgt, src_map=None, tgt_map=None):
@@ -420,16 +409,11 @@ def _chunk_layouts(src_lens, src_flat, tgt_lens, tgt_flat, n_tgt, src_map=None, 
     is -1 (a word the table does not know). A source token's id is
     ``src_map[id]`` when ``src_map`` is given, else the id in ``src_flat``,
     and likewise for targets; the maps are applied one chunk at a time, so
-    no mapped copy of a whole side is made.
-
-    No pair key is formed per slot. Each chunk's source and target ids are
-    ranked among the chunk's own (``_unique_inverse``), and a slot's
-    compact key, its source rank shifted above the bits of its target rank,
-    or 0 for an unknown pair, orders the slots as their pair keys would.
-    One packed sort of the compact keys gives the chunk's distinct pairs
-    and each slot's index among them. The compact keys are bounded by the
-    chunk's own id counts, not by ``n_tgt``, so any key space whose keys
-    fit int64 lays out.
+    no mapped copy of a whole side is made. One ``_unique_inverse`` of a
+    chunk's slot keys, shifted by 1 so that -1 sorts as 0, gives the chunk's
+    distinct pairs and each slot's index among them. The pair keys must be
+    below ``2**63 - 1``; keys past ``_unique_inverse``'s packed bound are
+    still laid out, through its ``np.unique`` fallback.
 
     Yields, per chunk, ``group_ptr`` (group g's slots are
     ``group_ptr[g]:group_ptr[g+1]``), the sorted distinct pair keys and
@@ -453,32 +437,19 @@ def _chunk_layouts(src_lens, src_flat, tgt_lens, tgt_flat, n_tgt, src_map=None, 
             t_flat = tgt_map[t_flat]
         group_ptr = _offsets(np.repeat(s_lens + 1, t_lens))
         widths = np.diff(group_ptr)
-        # A "block" is a sentence's NULL id followed by its source ids; the
-        # source rank of a slot is read from its sentence's block at the
-        # slot's offset within its group. Ids are ranked shifted by 1, so
-        # an unknown id (-1) is rank 0 when the chunk has one.
+        # A "block" is a sentence's NULL id followed by its source ids; a
+        # slot's source id is read from its sentence's block at the slot's
+        # offset within its group.
         blocks = np.insert(s_flat, _offsets(s_lens)[:-1], 0)
-        e_ids, e_rank = _unique_inverse(blocks + 1)
-        f_ids, f_rank = _unique_inverse(t_flat + 1)
-        e_ids -= 1
-        f_ids -= 1
-        f_bits = (len(f_ids) - 1).bit_length()
-        block_of_group = np.repeat(_offsets(s_lens + 1)[:-1], t_lens)
         at = np.arange(group_ptr[-1])
-        at -= np.repeat(group_ptr[:-1] - block_of_group, widths)
-        compact = (e_rank.astype(np.int64) << f_bits)[at]
-        compact |= np.repeat(f_rank, widths)
-        # a slot with an unknown id (rank 0 on a side that has one) takes
-        # compact key 0, which no known pair has then
-        if len(e_ids) and e_ids[0] < 0:
-            compact[compact < 1 << f_bits] = 0
-        if len(f_ids) and f_ids[0] < 0:
-            compact[compact & ((1 << f_bits) - 1) == 0] = 0
-        distinct, local = _unique_inverse(compact)
-        e = e_ids[distinct >> f_bits]
-        f = f_ids[distinct & ((1 << f_bits) - 1)]
-        pair_keys = e * n_tgt + f
-        pair_keys[(e < 0) | (f < 0)] = -1
+        at -= np.repeat(group_ptr[:-1] - np.repeat(_offsets(s_lens + 1)[:-1], t_lens), widths)
+        e = blocks[at]
+        f = np.repeat(t_flat, widths)
+        keys = e * n_tgt + f + 1  # shifted by 1: an unknown pair (-1) is 0
+        keys[(e < 0) | (f < 0)] = 0
+        del at, e, f  # before the sort's scratch is made
+        pair_keys, local = _unique_inverse(keys)
+        pair_keys -= 1
         yield group_ptr, pair_keys, local
 
 

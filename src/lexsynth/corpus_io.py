@@ -459,10 +459,11 @@ def _is_word_id(id_field: str) -> bool:
 
 def _is_range_or_empty_id(id_field: str) -> bool:
     """True for a multiword-token range ``N-M`` or an empty node ``N.M``:
-    N and M are word IDs, except that an empty node's N may be ``0``."""
+    N and M are word IDs, N below M in a range, except that an empty node's
+    N may be ``0``."""
     start, dash, end = id_field.partition("-")
     if dash:
-        return _is_word_id(start) and _is_word_id(end)
+        return _is_word_id(start) and _is_word_id(end) and int(start) < int(end)
     start, dot, end = id_field.partition(".")
     return bool(dot) and (start == "0" or _is_word_id(start)) and _is_word_id(end)
 
@@ -473,11 +474,17 @@ def _conllu_rows(path, columns: tuple[int, ...]):
 
     Comments, multiword-token ranges and empty nodes are kept verbatim;
     every other line must be a 10-column word line with a word ID, and a
-    block must hold at least one.
+    block must hold at least one. IDs are in order, since DEP heads are
+    read as word positions: word k's ID is k, a range ``N-M`` comes after
+    word N - 1 and before word N and ends at or before the block's last
+    word, and an empty node ``N.M`` comes after word N and before word
+    N + 1 (``0.M`` before word 1).
     """
     for first, lines in _blocks(path):
         words: list[list[str]] = []
         word_lines: list[int] = []
+        next_id = "1"
+        ranges: list[tuple[int, str, int]] = []  # (position, ID, last word ID)
         for p, line in enumerate(lines):
             if line.startswith("#"):
                 continue
@@ -487,13 +494,31 @@ def _conllu_rows(path, columns: tuple[int, ...]):
                     f"expected {_CONLLU_NCOLS} columns, got {len(fields)}",
                     path=path, line=first + p,
                 )
-            if _is_word_id(fields[0]):
+            id_field = fields[0]
+            if id_field == next_id:
                 words.append(fields)
                 word_lines.append(p)
-            elif not _is_range_or_empty_id(fields[0]):
-                raise DataFormatError(f"bad ID field {fields[0]!r}", path=path, line=first + p)
+                next_id = str(len(words) + 1)
+                continue
+            if not (_is_word_id(id_field) or _is_range_or_empty_id(id_field)):
+                raise DataFormatError(f"bad ID field {id_field!r}", path=path, line=first + p)
+            # a word ID or a range starts at the next word's ID, an empty
+            # node at the last word's
+            start, dash, end = id_field.partition("-")
+            node, dot, _ = id_field.partition(".")
+            if (node != str(len(words))) if dot else (start != next_id):
+                raise DataFormatError(f"ID {id_field!r} out of order: the next word ID is {next_id}",
+                                      path=path, line=first + p)
+            if dash:
+                ranges.append((p, id_field, int(end)))
         if not words:
             raise DataFormatError("sentence block has no word lines", path=path, line=first)
+        for p, id_field, end in ranges:
+            if end > len(words):
+                raise DataFormatError(
+                    f"range {id_field!r} ends past the last word ID {len(words)}",
+                    path=path, line=first + p,
+                )
         yield first, BlockRows(Format.CONLLU, columns, lines, word_lines), words
 
 

@@ -416,15 +416,16 @@ def layout_inputs(draw):
     return ids, n_tgt, maps
 
 
-# 63 is the int64 word; with 9 bits the larger of these small corpora are
-# sorted in several bands
+# 63 is the int64 word; with 9 bits the keys of the larger of these small
+# corpora do not fit beside their index bits and go to np.unique
 PACK_BITS = st.sampled_from([63, 9])
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(0, 2**12), max_size=64), st.sampled_from([63, 8]))
 def test_unique_inverse_matches_np_unique(values, pack_bits):
-    # at most 6 index bits: 8 bits leave bands of 4 or more values
+    # at most 6 index bits: with 8 bits, lists holding a value of 4 or more
+    # go to np.unique
     values = np.array(values, dtype=np.int64)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(model1, "_PACK_BITS", pack_bits)
@@ -468,6 +469,34 @@ def test_merged_table_keys_and_chunk_pairs_match_numpy_reference(rng, chunk, pac
     assert len(chunks) == len(expected)
     for (_, pairs, _), (_, ref_keys, _) in zip(chunks, expected):
         assert pairs.tolist() == np.searchsorted(keys, ref_keys).tolist()
+
+
+def test_np_unique_fallback_trains_and_aligns_as_the_packed_sort():
+    # With 20 bits no chunk's slot keys and no merge fit beside their index
+    # bits, so each goes to np.unique; with 63, none does.
+    corpus = EncodedCorpus.of(verse_corpus(1500, seed=4))  # two 1024-sentence chunks
+    cfg = AlignerConfig(iterations=2)
+    calls = []
+    unique = np.unique
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return unique(*args, **kwargs)
+
+    for direction in (corpus, corpus.swapped()):
+        runs = []
+        for pack_bits, expected_calls in ((63, 0), (20, 3)):
+            calls.clear()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(np, "unique", counted)
+                mp.setattr(model1, "_PACK_BITS", pack_bits)
+                table = train_model1(direction, cfg)
+                runs.append((table, viterbi_align(direction, table)))
+            assert len(calls) == expected_calls  # two chunks and the merge
+        (packed, packed_links), (fallback, fallback_links) = runs
+        assert np.array_equal(fallback._t, packed._t)
+        assert np.array_equal(fallback._keys, packed._keys)
+        assert np.array_equal(fallback_links.keys, packed_links.keys)
 
 
 class TestSymmetrize:

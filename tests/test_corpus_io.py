@@ -382,26 +382,62 @@ class TestConllu:
             read_labeled(path, Schema.POS, Format.CONLLU)
         assert exc.value.line == line
 
-    @pytest.mark.parametrize("id_field", ["1-2", "10-12", "1.1", "0.1"])
-    def test_range_and_empty_node_ids_pass_through(self, tmp_path, id_field):
+    # each line where its ID allows it in a block of twelve words: a range
+    # just before its first word, an empty node N.M after word N
+    @pytest.mark.parametrize("id_field, before_word", [
+        ("1-2", 1), ("10-12", 10), ("0.1", 1), ("1.1", 2), ("12.1", 13)])
+    def test_range_and_empty_node_ids_pass_through(self, tmp_path, id_field, before_word):
         line = id_field + "\tx" + "\t_" * 8
-        path = write(tmp_path, WORD + line + "\n", "x.conllu")
+        lines = [f"{k}\tw{k}" + "\t_" * 8 for k in range(1, 13)]
+        lines.insert(before_word - 1, line)
+        path = write(tmp_path, "\n".join(lines) + "\n", "x.conllu")
         sent = read_labeled(path, Schema.POS, Format.CONLLU).sentences[0]
-        assert sent.tokens == ["We"]
-        assert sent.passthrough.lines == [WORD.rstrip("\n"), line]
-        assert sent.passthrough.word_lines == [0]
+        assert sent.tokens == [f"w{k}" for k in range(1, 13)]
+        assert sent.passthrough.lines == lines
+        assert sent.passthrough.word_lines == [p for p in range(13) if p != before_word - 1]
 
     # from "0" on, str.isdigit() takes every part; a word ID is ASCII digits
     # without a leading zero, and ranges and empty nodes are built from them
     @pytest.mark.parametrize("id_field", [
         "1-2-3", "1.2.3", "1-2.3", "1.2-3", "-1", "1-", ".1", "1.", "a", "",
         "0", "01", "\u00b2", "\u0661", "\u0661-\u0662", "0-1", "01-2", "1-02",
-        "1.0", "00.1", "01.1", "1.01", "\u0661.1", "1.\u0661"])
+        "1.0", "00.1", "01.1", "1.01", "\u0661.1", "1.\u0661", "2-1", "2-2"])
     def test_other_ids_rejected(self, tmp_path, id_field):
         path = write(tmp_path, WORD + id_field + "\tx" + "\t_" * 8 + "\n", "x.conllu")
         with pytest.raises(DataFormatError,
                            match=re.escape(f"line 2: bad ID field {id_field!r}")):
             read_labeled(path, Schema.POS, Format.CONLLU)
+
+    # Word k's ID must be k, a range N-M must come between word N - 1 and
+    # word N and end at or before the block's last word, and an empty node
+    # N.M must come between word N and word N + 1. DEP heads are read as
+    # positions, so a block out of order would take heads from other words.
+    @pytest.mark.parametrize("ids, line, message", [
+        (["2", "1"], 1, "ID '2' out of order: the next word ID is 1"),
+        (["1", "1"], 2, "ID '1' out of order: the next word ID is 2"),
+        (["1", "3", "2"], 2, "ID '3' out of order: the next word ID is 2"),
+        (["1", "1-2", "2"], 2, "ID '1-2' out of order: the next word ID is 2"),
+        (["2-3", "1", "2", "3"], 1, "ID '2-3' out of order: the next word ID is 1"),
+        (["1", "10-12", "2"], 2, "ID '10-12' out of order: the next word ID is 2"),
+        (["1", "0.1"], 2, "ID '0.1' out of order: the next word ID is 2"),
+        (["1.1", "1"], 1, "ID '1.1' out of order: the next word ID is 1"),
+        (["1", "2.1", "2"], 2, "ID '2.1' out of order: the next word ID is 2"),
+        (["1-2", "1"], 1, "range '1-2' ends past the last word ID 1"),
+        (["1", "2-4", "2", "3"], 2, "range '2-4' ends past the last word ID 3"),
+    ])
+    def test_ids_out_of_order_rejected(self, tmp_path, ids, line, message):
+        text = "".join(f"{id_field}\tw\tw\tX\t_\t_\t0\troot\t_\t_\n" for id_field in ids)
+        path = write(tmp_path, "# c\n" + text, "x.conllu")
+        with pytest.raises(DataFormatError, match=re.escape(f"line {line + 1}: {message}")):
+            read_labeled(path, Schema.DEP, Format.CONLLU)
+
+    def test_word_ids_are_read_in_order_not_as_positions(self, tmp_path):
+        # "We" names "suspect" as its head by ID; read as a position, it
+        # would head itself
+        text = ("2\tWe\twe\tPRON\t_\t_\t1\tnsubj\t_\t_\n"
+                "1\tsuspect\tsuspect\tVERB\t_\t_\t0\troot\t_\t_\n")
+        with pytest.raises(DataFormatError, match=re.escape("line 1: ID '2' out of order")):
+            read_labeled(write(tmp_path, text, "x.conllu"), Schema.DEP, Format.CONLLU)
 
     def test_whitespace_only_line_separates_sentences(self, tmp_path):
         path = write(tmp_path, CONLLU.rstrip("\n") + "\n \t\n" + CONLLU, "x.conllu")
@@ -543,7 +579,7 @@ class TestValidation:
     @pytest.mark.parametrize("fmt, text, line", [
         (Format.TWO_COL, "a\tX\n b\tY\n", 2),
         (Format.TWO_COL, "a\tX\n\nc\tY\nd \tY\n", 4),
-        (Format.CONLLU, "# c\n" + WORD + WORD.replace("We", " We"), 3),
+        (Format.CONLLU, "# c\n" + WORD + WORD.replace("1\tWe", "2\t We"), 3),
     ])
     def test_token_field_with_outer_whitespace_names_its_line(self, tmp_path, fmt, text, line):
         with pytest.raises(DataFormatError, match=f"line {line}: bad token") as exc:
@@ -699,7 +735,8 @@ def conllu_corpora(draw):
 @st.composite
 def conllu_texts(draw):
     """CoNLL-U text read as POS or DEP: word lines with any fields but the
-    token, among comments, multiword-token ranges and empty nodes, each block
+    token, among comments, multiword-token ranges and empty nodes placed
+    where their IDs allow, each block
     ending with a blank line as the writer ends it; and each block's number
     of word lines.
 
@@ -711,21 +748,29 @@ def conllu_texts(draw):
     blocks = []
     ns = draw(st.lists(st.integers(1, 4), max_size=4))
     for n in ns:
-        lines = []
+        # gap g holds the other lines between word g and word g + 1, where
+        # their IDs allow them: a range g+1-M and an empty node g.M
+        gaps = [[] for _ in range(n + 1)]
+        for _ in range(draw(st.integers(0, 4))):
+            kind = draw(st.sampled_from(["comment", "empty"] + ["range"] * (n > 1)))
+            form, fields = draw(FIELDS), draw(rest)
+            if kind == "comment":
+                g, line = draw(st.integers(0, n)), "#" + draw(comment)
+            elif kind == "range":
+                g = draw(st.integers(0, n - 2))
+                end = draw(st.integers(g + 2, n))
+                line = "\t".join([f"{g + 1}-{end}", form, *fields[:7], form])
+            else:
+                g = draw(st.integers(0, n))
+                line = "\t".join([f"{g}.{draw(st.integers(1, 9))}", form, *fields])
+            gaps[g].insert(draw(st.integers(0, len(gaps[g]))), line)
+        lines = gaps[0]
         for i in range(1, n + 1):
             form, (lemma, upos, xpos, feats, head, deprel, deps, misc) = draw(TOKENS), draw(rest)
             if schema is Schema.DEP:
                 head = str(draw(st.integers(0, n)))
             lines.append("\t".join([str(i), form, lemma, upos, xpos, feats, head, deprel, deps, misc]))
-        others = st.one_of(
-            comment.map(lambda text: "#" + text),
-            st.tuples(st.integers(1, n), st.integers(1, n), rest, FIELDS).map(
-                lambda r: "\t".join([f"{r[0]}-{r[1]}", r[3], *r[2][:7], r[3]])),
-            st.tuples(st.integers(0, n), st.integers(1, 9), rest, FIELDS).map(
-                lambda r: "\t".join([f"{r[0]}.{r[1]}", r[3], *r[2]])),
-        )
-        for line in draw(st.lists(others, max_size=4)):
-            lines.insert(draw(st.integers(0, len(lines))), line)
+            lines += gaps[i]
         blocks.append("\n".join(lines) + "\n\n")
     return schema, "".join(blocks), ns
 
