@@ -17,21 +17,22 @@ Formats handled:
     and excluded from the token sequence
 
 In both labeled formats a sentence is a block of lines, and blocks are
-separated by blank or whitespace-only lines; ``_blocks`` is the one reader
-of that layout. Each sentence read keeps its block as one ``BlockRows``: the
-lines verbatim, the position of each word line among them, the format, and
-the fields that hold the token and its labels (``_columns`` names them).
-The readers split each word line at tabs to check it and to take the token
-and labels; the split fields are not kept. ``write_labeled`` splits the
-word lines again to fill in a sentence's tokens and labels, and copies
-every other line unchanged; a sentence with no lines kept in the format
-and schema written (built in code, or read in the other format) gets
-default lines: ``token<TAB>label`` for TwoColumn, and for CoNLL-U the ID,
-FORM and ``_`` in the other eight columns before the labels are filled in.
-A sentence whose tokens and kept word lines differ in number, a label the
-format cannot hold (a tab, CR or LF; an empty TwoColumn label), or
-TwoColumn sentences whose lines would differ in column count are a
-``ValidationError`` before the file is opened.
+separated by blank or whitespace-only lines. A ``LabeledCorpus`` holds a
+file as columns: every block's lines once, flat token and label columns,
+sentence offsets into them, and the line of each token's word line; its
+``sentences`` are ``LabeledSentence`` views, each with its block as
+``BlockRows``, built when read. ``read_labeled`` splits each word line
+only up to the last field it needs; a block that fails the quick checks
+(tab counts, word IDs 1, 2, ...) is checked line by line, and an error
+names its line. ``write_labeled`` copies every line and rebuilds only the
+word lines whose token or label differs from the value read. A sentence
+with no lines kept in the format and schema written (built in code, or
+read in the other format) gets default lines: ``token<TAB>label`` for
+TwoColumn, and for CoNLL-U the ID, FORM and ``_`` in the other eight
+columns before the labels are filled in. A label the format cannot hold
+(a tab, CR or LF; an empty TwoColumn label), or TwoColumn sentences whose
+lines would differ in column count are a ``ValidationError`` before the
+file is opened.
 
 Inputs are UTF-8, opened through ``errors.open_input``: a leading
 byte-order mark is dropped, a byte that is not UTF-8 is a
@@ -41,11 +42,17 @@ with LF line endings and a trailing newline.
 
 from __future__ import annotations
 
+import copy
 import enum
 import logging
+import numbers
 import re
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import partial
+from itertools import compress, repeat
+from operator import lt, ne
 from pathlib import Path
 
 from .errors import DataFormatError, ValidationError, open_input
@@ -56,7 +63,7 @@ TokenizedSentence = list[str]
 TokenizedCorpus = list[TokenizedSentence]
 ParallelCorpus = list[tuple[TokenizedSentence, TokenizedSentence]]
 
-# Lines ``write_mono`` and blocks ``write_labeled`` join into one write.
+# Lines ``write_mono`` and ``write_labeled`` join into one write.
 _WRITE_BATCH = 1024
 
 
@@ -88,20 +95,8 @@ class BlockRows:
     lines: list[str]
     word_lines: Sequence[int]
 
-    def _text(self, values) -> str:
-        """The block's lines, each ending in LF: each word line with
-        ``values[j]`` in field ``columns[j]``, every other line as it is.
-        ``lines`` itself is not changed. Word lines are split only up to the
-        last field filled; the rest of each is put back as one piece."""
-        lines = self.lines.copy()
-        cut = max(self.columns) + 1
-        fields = list(zip(*[lines[p].split("\t", cut) for p in self.word_lines]))
-        for col, column in zip(self.columns, values):
-            fields[col] = column
-        for p, line in zip(self.word_lines, map("\t".join, zip(*fields))):
-            lines[p] = line
-        lines.append("")
-        return "\n".join(lines)
+
+_BAD_TOKEN = "bad token {!r}: tokens must be non-empty without whitespace"
 
 
 @dataclass
@@ -117,9 +112,8 @@ class LabeledSentence:
         n = len(self.tokens)
         if n == 0:
             raise ValidationError("labeled sentence must have at least one token")
-        for t in self.tokens:
-            if t.split() != [t]:
-                raise ValidationError(f"bad token {t!r}: tokens must be non-empty without whitespace")
+        if " ".join(self.tokens).split() != list(self.tokens):
+            raise ValidationError(_BAD_TOKEN.format(next(t for t in self.tokens if t.split() != [t])))
         if self.schema in (Schema.NER, Schema.POS):
             if self.labels is None or len(self.labels) != n:
                 raise ValidationError(f"{self.schema.value} sentence needs exactly one label per token")
@@ -128,18 +122,107 @@ class LabeledSentence:
                 raise ValidationError("dep sentence needs heads and deprels")
             if len(self.heads) != n or len(self.deprels) != n:
                 raise ValidationError("dep column length must equal token count")
-            for h in self.heads:
+            for i, h in enumerate(self.heads):
+                # written as str(h), which reads back only for an int
+                if not isinstance(h, numbers.Integral) or isinstance(h, bool):
+                    raise ValidationError(f"dep head {h!r} at position {i} is not an integer")
                 if not 0 <= h <= n:
                     raise ValidationError(f"dep head {h} out of range [0, {n}]")
 
 
-@dataclass
-class LabeledCorpus:
-    schema: Schema
-    sentences: list[LabeledSentence] = field(default_factory=list)
+class LabeledCorpus(Sequence):
+    """A labeled corpus as columns, and the sequence of its sentences.
+
+    ``tokens`` and the label columns (NER/POS ``labels``; DEP ``heads`` and
+    ``deprels``) hold sentence k at ``offsets[k]:offsets[k + 1]``. ``lines``
+    holds each block then ``""``: sentence k's are ``lines[starts[k]:
+    starts[k + 1] - 1]``, none when it has no rows. ``rows`` is their format
+    and fields (``_columns``); ``word_lines[i]`` is token i's line, and
+    ``read`` the columns the lines hold (``None``: not known). Item k is a
+    ``LabeledSentence`` view, built and checked when read.
+    ``LabeledCorpus(schema, sentences)`` takes rows of one kind.
+    """
+
+    def __init__(self, schema: Schema, sentences=()):
+        self.schema = schema
+        self.tokens, self.offsets, self.lines, self.starts, self.word_lines = [], [0], [], [0], []
+        self.labels, self.heads, self.deprels = (None, [], []) if schema is Schema.DEP else ([], None, None)
+        self.rows = self.read = None
+        for k, sent in enumerate(sentences):
+            if sent.schema is not schema:
+                raise ValidationError(f"sentence {k} is {sent.schema.value} in a {schema.value} corpus")
+            rows, n = sent.passthrough, len(sent.tokens)
+            kind = rows and (rows.format, tuple(rows.columns))
+            if rows is None:
+                self.word_lines += [len(self.lines)] * n
+            elif self.rows not in (None, kind):
+                raise ValidationError(f"sentence {k}'s rows hold other fields than the first sentence's")
+            elif len(rows.word_lines) != n:
+                raise ValidationError(f"sentence {k}: {n} tokens but {len(rows.word_lines)} word rows")
+            else:
+                self.rows = kind
+                self.word_lines += [len(self.lines) + p for p in rows.word_lines]
+                self.lines += [*rows.lines, ""]
+            for name in self._names():
+                getattr(self, name).extend(getattr(sent, name))
+            self.offsets.append(len(self.tokens))
+            self.starts.append(len(self.lines))
+
+    def _names(self) -> tuple[str, ...]:
+        """The token column's name, then the label columns' in word-line order."""
+        return ("tokens", "heads", "deprels") if self.schema is Schema.DEP else ("tokens", "labels")
+
+    def _values(self) -> list[list]:
+        return [getattr(self, name) for name in self._names()]
+
+    def token_rows(self) -> list[list[str]]:
+        """Each sentence's slice of the token column."""
+        return [self.tokens[a:b] for a, b in zip(self.offsets, self.offsets[1:])]
+
+    def _replace(self, **columns) -> LabeledCorpus:
+        """A copy sharing every list but the columns given."""
+        out = copy.copy(self)
+        vars(out).update(columns)
+        return out
+
+    def __add__(self, other: LabeledCorpus) -> LabeledCorpus:
+        """This corpus's sentences, then ``other``'s."""
+        if self.rows and other.rows and self.rows != other.rows:
+            raise ValidationError("the corpora's rows hold other fields")
+        lines, tokens = len(self.lines), len(self.tokens)
+        return self._replace(
+            **{name: getattr(self, name) + getattr(other, name) for name in self._names()},
+            offsets=self.offsets + [o + tokens for o in other.offsets[1:]],
+            lines=self.lines + other.lines,
+            starts=self.starts + [s + lines for s in other.starts[1:]],
+            word_lines=self.word_lines + [w + lines for w in other.word_lines],
+            rows=self.rows or other.rows,
+            read=self.read and other.read and list(map(list.__add__, self.read, other.read)),
+        )
+
+    @property
+    def sentences(self) -> LabeledCorpus:
+        return self
 
     def __len__(self) -> int:
-        return len(self.sentences)
+        return len(self.offsets) - 1
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(len(self))[k]]
+        k = range(len(self))[k]
+        at, first, end = slice(self.offsets[k], self.offsets[k + 1]), self.starts[k], self.starts[k + 1]
+        rows = None if end == first else BlockRows(*self.rows, self.lines[first:end - 1],
+                                                   [w - first for w in self.word_lines[at]])
+        return LabeledSentence(self.tokens[at], self.schema, passthrough=rows,
+                               **{name: getattr(self, name)[at] for name in self._names()[1:]})
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, LabeledCorpus) and self.schema is not other.schema:
+            return False
+        if isinstance(other, Sequence) and not isinstance(other, str):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
 
 
 class MonoCorpus(Sequence):
@@ -353,6 +436,13 @@ def _columns(format: Format, schema: Schema, token_col: int = 0, label_col: int 
 _HEAD = re.compile("0|[1-9][0-9]*")
 
 
+_CONLLU_NCOLS = 10
+# What ``str.split`` splits at: a token holds none of it.
+_SPACE = re.compile(r"\s")
+# The word IDs of a block holding no other lines but comments.
+_IDS = [str(i) for i in range(1, 1025)]
+
+
 def read_labeled(
     path,
     schema: Schema,
@@ -365,91 +455,76 @@ def read_labeled(
     ``token_col`` and ``label_col`` pick the TwoColumn fields; they must be
     different and non-negative. A DEP HEAD must be ``0`` or ASCII digits
     without a leading zero, as the writer spells it; anything else is a
-    ``DataFormatError`` naming the line. Each sentence keeps its block's
-    lines as ``BlockRows``, so writing it back in the same format gives the
-    same bytes.
+    ``DataFormatError`` naming the line. The corpus keeps every block's
+    lines, so writing it back in the same format gives the same bytes.
     """
     columns = _columns(format, schema, token_col, label_col)
-    token_col, *label_cols = columns
-    read_rows = _two_col_rows if format is Format.TWO_COL else _conllu_rows
-    sentences: list[LabeledSentence] = []
-    for first, rows, words in read_rows(path, columns):
-        if schema is Schema.DEP:
-            head_col, deprel_col = label_cols
-            heads: list[int] = []
-            for fields in words:
-                head = fields[head_col]
-                if not _HEAD.fullmatch(head):
-                    raise DataFormatError(
-                        f"non-integer HEAD {head!r}",
-                        path=path, line=first + rows.word_lines[len(heads)],
-                    )
-                heads.append(int(head))
-            labels = {"heads": heads, "deprels": [fields[deprel_col] for fields in words]}
-        else:
-            labels = {"labels": [fields[label_cols[0]] for fields in words]}
-        tokens = [fields[token_col] for fields in words]
-        try:
-            sentences.append(LabeledSentence(tokens, schema, passthrough=rows, **labels))
-        except ValidationError as exc:
-            bad = next((i for i, t in enumerate(tokens) if t.split() != [t]), 0)
-            raise DataFormatError(str(exc), path=path, line=first + rows.word_lines[bad]) from exc
-    return LabeledCorpus(schema, sentences)
-
-
-def _blocks(path):
-    """Yield each sentence block of a labeled file as (first line number, lines).
-
-    Blocks are separated by blank or whitespace-only lines, so the line at
-    position p of a block is line ``first + p`` of the file. Text mode has
-    already turned CRLF and CR line ends into LF.
-    """
-    lines: list[str] = []
+    cut = max(columns) + 1  # a TwoColumn line's fewest fields
     with open_input(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if line.strip():
-                lines.append(line)
-            elif lines:
-                yield lineno - len(lines), lines
-                lines = []
-    if lines:
-        yield lineno + 1 - len(lines), lines
+        lines = fh.read().split("\n")
+    # Blocks are separated by blank or whitespace-only lines; lines[i] is
+    # line i + 1 of the file, as text mode has turned CRLF and CR into LF.
+    blanks = [i for i, line in enumerate(lines) if not line.strip()] + [len(lines)]
+    blocks = [(a + 1, b) for a, b in zip([-1, *blanks], blanks) if b > a + 1]
+    if format is Format.CONLLU:
+        check = partial(_conllu_block, cut=cut)
+    else:  # every line has as many fields as the file's first
+        ncols = lines[blocks[0][0]].count("\t") + 1 if blocks else cut
+        if ncols < cut:
+            raise DataFormatError(f"need at least {cut} tab-separated columns, got {ncols}",
+                                  path=path, line=blocks[0][0] + 1)
+        check = partial(_two_col_block, columns=columns, ncols=ncols)
+    corpus = LabeledCorpus(schema)
+    store, starts, word_lines = corpus.lines, corpus.starts, corpus.word_lines
+    values, shared = [[] for _ in columns], {}  # each repeated token or label is kept once
+    for a, b in blocks:
+        block = lines[a:b]
+        at, fields = check(path, a + 1, block, len(store))
+        for column, col in zip(values, columns):
+            got = [f[col] for f in fields]
+            column += map(shared.setdefault, got, got)
+        word_lines += at
+        store += block
+        store.append("")
+        starts.append(len(store))
+        corpus.offsets.append(len(word_lines))
+
+    def fail(message: str, i: int):  # at word i's line
+        k = bisect_right(corpus.offsets, i) - 1
+        raise DataFormatError(message, path=path, line=blocks[k][0] + 1 + word_lines[i] - starts[k])
+
+    if schema is Schema.DEP:
+        if not all(map(_HEAD.fullmatch, values[1])):
+            i = next(i for i, head in enumerate(values[1]) if not _HEAD.fullmatch(head))
+            fail(f"non-integer HEAD {values[1][i]!r}", i)
+        values[1] = heads = list(map(int, values[1]))
+        for a, b in zip(corpus.offsets, corpus.offsets[1:]):
+            if max(heads[a:b]) > b - a:
+                fail(f"dep head {next(h for h in heads[a:b] if h > b - a)} out of range [0, {b - a}]", a)
+    if "" in values[0] or _SPACE.search("".join(values[0])):
+        i = next(i for i, t in enumerate(values[0]) if t.split() != [t])
+        fail(_BAD_TOKEN.format(values[0][i]), i)
+    vars(corpus).update(zip(corpus._names(), values), rows=(format, columns) if store else None,
+                        read=values)
+    return corpus
 
 
-def _two_col_rows(path, columns: tuple[int, ...]):
-    """Yield (first line number, rows, fields) for each TwoColumn block,
-    ``fields`` holding each word line split at tabs.
-
-    Every line is a word line, every line of the file has as many fields as
-    the first, and the token and label fields are not empty.
-    """
-    token_col, label_col = columns
-    need = max(columns) + 1
-    ncols: int | None = None
-    for first, lines in _blocks(path):
-        words: list[list[str]] = []
-        for line in lines:
-            fields = line.split("\t")
-            if ncols is None:
-                ncols = len(fields)
-                if ncols < need:
-                    raise DataFormatError(
-                        f"need at least {need} tab-separated columns, got {ncols}",
-                        path=path, line=first,
-                    )
-            if len(fields) != ncols:
-                raise DataFormatError(
-                    f"inconsistent column count: expected {ncols}, got {len(fields)}",
-                    path=path, line=first + len(words),
-                )
-            if not fields[token_col] or not fields[label_col]:
-                raise DataFormatError("empty token or label field", path=path, line=first + len(words))
-            words.append(fields)
-        yield first, BlockRows(Format.TWO_COL, columns, lines, range(len(lines))), words
-
-
-_CONLLU_NCOLS = 10
+def _two_col_block(path, first, block, base, columns: tuple[int, ...], ncols: int):
+    """The lines of a TwoColumn block (all word lines), numbered from
+    ``base``, and each one's fields, split up to the last of ``columns``:
+    ``ncols`` fields, the token and label not empty (the block starts at
+    line ``first``)."""
+    fields = [line.split("\t", max(columns) + 1) for line in block]
+    if list(map(str.count, block, repeat("\t"))) != [ncols - 1] * len(block) or not all(
+            f[col] for f in fields for col in columns):
+        for p, line in enumerate(block):
+            got = line.count("\t") + 1
+            if got != ncols:
+                raise DataFormatError(f"inconsistent column count: expected {ncols}, got {got}",
+                                      path=path, line=first + p)
+            if not all(fields[p][col] for col in columns):
+                raise DataFormatError("empty token or label field", path=path, line=first + p)
+    return range(base, base + len(block)), fields
 
 
 def _is_word_id(id_field: str) -> bool:
@@ -468,58 +543,59 @@ def _is_range_or_empty_id(id_field: str) -> bool:
     return bool(dot) and (start == "0" or _is_word_id(start)) and _is_word_id(end)
 
 
-def _conllu_rows(path, columns: tuple[int, ...]):
-    """Yield (first line number, rows, fields) for each CoNLL-U block,
-    ``fields`` holding each word line split at tabs.
+def _conllu_block(path, first, block, base, cut: int):
+    """The word lines of a CoNLL-U block, numbered from ``base``, and each
+    one's fields, split up to field ``cut``; an error names its line (the
+    block starts at line ``first``).
 
-    Comments, multiword-token ranges and empty nodes are kept verbatim;
-    every other line must be a 10-column word line with a word ID, and a
-    block must hold at least one. IDs are in order, since DEP heads are
-    read as word positions: word k's ID is k, a range ``N-M`` comes after
-    word N - 1 and before word N and ends at or before the block's last
-    word, and an empty node ``N.M`` comes after word N and before word
-    N + 1 (``0.M`` before word 1).
+    Every line but comments, multiword-token ranges and empty nodes is a
+    10-column word line, and a block holds at least one. IDs are in order,
+    as DEP heads are word positions: word k's ID is k, a range ``N-M`` comes
+    just before word N and ends at or before the last word, and an empty
+    node ``N.M`` comes after word N and before word N + 1. Leading comments
+    then word IDs 1, 2, ... pass at once; other IDs are checked one by one.
     """
-    for first, lines in _blocks(path):
-        words: list[list[str]] = []
-        word_lines: list[int] = []
-        next_id = "1"
-        ranges: list[tuple[int, str, int]] = []  # (position, ID, last word ID)
-        for p, line in enumerate(lines):
-            if line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != _CONLLU_NCOLS:
-                raise DataFormatError(
-                    f"expected {_CONLLU_NCOLS} columns, got {len(fields)}",
-                    path=path, line=first + p,
-                )
-            id_field = fields[0]
-            if id_field == next_id:
-                words.append(fields)
-                word_lines.append(p)
-                next_id = str(len(words) + 1)
-                continue
-            if not (_is_word_id(id_field) or _is_range_or_empty_id(id_field)):
-                raise DataFormatError(f"bad ID field {id_field!r}", path=path, line=first + p)
-            # a word ID or a range starts at the next word's ID, an empty
-            # node at the last word's
-            start, dash, end = id_field.partition("-")
-            node, dot, _ = id_field.partition(".")
-            if (node != str(len(words))) if dot else (start != next_id):
-                raise DataFormatError(f"ID {id_field!r} out of order: the next word ID is {next_id}",
-                                      path=path, line=first + p)
-            if dash:
-                ranges.append((p, id_field, int(end)))
-        if not words:
-            raise DataFormatError("sentence block has no word lines", path=path, line=first)
-        for p, id_field, end in ranges:
-            if end > len(words):
-                raise DataFormatError(
-                    f"range {id_field!r} ends past the last word ID {len(words)}",
-                    path=path, line=first + p,
-                )
-        yield first, BlockRows(Format.CONLLU, columns, lines, word_lines), words
+    c = 0
+    while c < len(block) and block[c][0] == "#":
+        c += 1
+    at, tabs = range(c, len(block)), list(map(str.count, block[c:], repeat("\t")))
+    regular = tabs == [_CONLLU_NCOLS - 1] * len(tabs)
+    if not regular:  # a comment among the word lines, or a line of other than 10 fields
+        at, tabs = range(len(block)), list(map(str.count, block, repeat("\t")))
+    fields = [block[p].split("\t", cut) for p in at]
+    ids = [f[0] for f in fields]
+    if regular and ids and ids == _IDS[:len(ids)]:
+        return range(base + c, base + len(block)), fields
+    words: list[int] = []
+    ranges: list[tuple[int, str, int]] = []  # (position, ID, last word ID)
+    next_id = "1"
+    for p, id_field, n in zip(at, ids, tabs):
+        if block[p][0] == "#":
+            continue
+        if n != _CONLLU_NCOLS - 1:
+            raise DataFormatError(f"expected {_CONLLU_NCOLS} columns, got {n + 1}", path=path, line=first + p)
+        if id_field == next_id:
+            words.append(p)
+            next_id = str(len(words) + 1)
+            continue
+        if not (_is_word_id(id_field) or _is_range_or_empty_id(id_field)):
+            raise DataFormatError(f"bad ID field {id_field!r}", path=path, line=first + p)
+        # a word ID or a range starts at the next word's ID, an empty
+        # node at the last word's
+        start, dash, end = id_field.partition("-")
+        node, dot, _ = id_field.partition(".")
+        if (node != str(len(words))) if dot else (start != next_id):
+            raise DataFormatError(f"ID {id_field!r} out of order: the next word ID is {next_id}",
+                                  path=path, line=first + p)
+        if dash:
+            ranges.append((p, id_field, int(end)))
+    if not words:
+        raise DataFormatError("sentence block has no word lines", path=path, line=first)
+    for p, id_field, end in ranges:
+        if end > len(words):
+            raise DataFormatError(f"range {id_field!r} ends past the last word ID {len(words)}",
+                                  path=path, line=first + p)
+    return [base + p for p in words], [fields[p - at.start] for p in words]
 
 
 def _unwritable(labels, two_col: bool) -> bool:
@@ -530,54 +606,62 @@ def _unwritable(labels, two_col: bool) -> bool:
 
 
 def write_labeled(corpus: LabeledCorpus, path, format: Format = Format.TWO_COL) -> None:
-    """Serialize a labeled corpus, keeping the rows each sentence was read with.
+    """Serialize a labeled corpus, keeping the lines it was read with.
 
-    A sentence whose ``BlockRows`` were read in this format and schema gets
-    its tokens and labels filled into copies of its word lines, with every
-    other line as it was; any other sentence gets default lines. Before the
-    file is opened, a ``ValidationError`` names the first sentence whose
-    kept word lines differ in number from its tokens, whose label (DEP:
-    deprel) holds a tab, CR or LF, or is empty in TwoColumn, or whose
-    TwoColumn lines would have another column count than the first
+    Every line is copied, and the word lines whose token or label differs
+    from the value read are rebuilt; a sentence without lines read in this
+    format and schema gets default lines, all filled in. Before the file is
+    opened, a ``ValidationError`` names the first label (DEP: deprel) that
+    holds a tab, CR or LF, or is empty in TwoColumn, and the first sentence
+    whose TwoColumn lines would have another column count than the first
     sentence's: such a file would read back differently, or not at all.
     """
     columns = _columns(format, corpus.schema)
-    dep = corpus.schema is Schema.DEP
     two_col = format is Format.TWO_COL
-    kept = []
-    for k, sent in enumerate(corpus.sentences):
-        rows = sent.passthrough
-        if rows is None or rows.format is not format or len(rows.columns) != len(columns):
-            rows = None
-        elif len(rows.word_lines) != len(sent.tokens):
-            raise ValidationError(f"sentence {k}: {len(sent.tokens)} tokens but {len(rows.word_lines)} word rows")
-        labels = sent.deprels if dep else sent.labels
-        if _unwritable(labels, two_col):
-            i = next(i for i, label in enumerate(labels) if _unwritable([label], two_col))
-            raise ValidationError(f"sentence {k}, token {i}: {format.value} cannot hold the label {labels[i]!r}")
-        kept.append(rows)
+    labels = corpus._values()[-1]
+    if _unwritable(labels, two_col):
+        i = next(i for i, label in enumerate(labels) if _unwritable([label], two_col))
+        k = bisect_right(corpus.offsets, i) - 1
+        raise ValidationError(f"sentence {k}, token {i - corpus.offsets[k]}: "
+                              f"{format.value} cannot hold the label {labels[i]!r}")
+    rows = corpus.rows
+    fits = rows is not None and rows[0] is format and len(rows[1]) == len(columns)
+    cols = rows[1] if fits else columns
+    if not (fits and all(map(lt, corpus.starts, corpus.starts[1:]))):  # give default lines
+        corpus = LabeledCorpus(corpus.schema, [sent if fits and sent.passthrough else replace(
+            sent, passthrough=BlockRows(format, cols, ["\t"] * len(sent.tokens) if two_col else [
+                str(i) + "\t_" * 9 for i in range(1, len(sent.tokens) + 1)], range(len(sent.tokens))))
+            for sent in corpus])
+    lines = corpus.lines
     if two_col:
-        widths = [rows.lines[0].count("\t") + 1 if rows else 2 for rows in kept]
+        widths = [lines[s].count("\t") + 1 for s in corpus.starts[:-1]]
         k = next((k for k, width in enumerate(widths) if width != widths[0]), None)
         if k is not None:
             raise ValidationError(f"sentence {k} has {widths[k]} two-col columns but sentence 0 has "
                                   f"{widths[0]}; one file holds one column count")
+    # Only the columns, and the lines, that differ from those read.
+    fill = [(col, column, read) for col, column, read
+            in zip(cols, corpus._values(), corpus.read or [None] * len(cols)) if column != read]
+    changed = range(len(corpus.tokens)) if corpus.read is None else list(compress(
+        range(len(corpus.tokens)), map(any, zip(*[map(ne, column, read) for _, column, read in fill]))))
+    fill = [(col, list(map(str, column)) if column is corpus.heads else column) for col, column, _ in fill]
+    at = [corpus.word_lines[t] for t in changed]
+    cut = max([col for col, _ in fill], default=0) + 1
     # TwoColumn puts a blank line between blocks; CoNLL-U ends each with one.
-    lead, end = ("\n", "") if two_col else ("", "\n")
+    end = len(lines) - two_col
     with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        for lo in range(0, len(kept), _WRITE_BATCH):
-            texts = []
-            for sent, rows in zip(corpus.sentences[lo:lo + _WRITE_BATCH], kept[lo:lo + _WRITE_BATCH]):
-                if rows is None:  # token<TAB>label, or a CoNLL-U ID and _ in the other fields
-                    n = len(sent.tokens)
-                    lines = ["\t"] * n if two_col else [str(i) + "\t_" * 9 for i in range(1, n + 1)]
-                    rows = BlockRows(format, columns, lines, range(n))
-                if dep:
-                    values = (sent.tokens, map(str, sent.heads), sent.deprels)
-                else:
-                    values = (sent.tokens, sent.labels)
-                texts.append(rows._text(values))
-            fh.write((lead if lo else "") + "\n".join(texts) + end)
+        i = 0
+        for lo in range(0, end, _WRITE_BATCH):
+            batch = lines[lo:min(lo + _WRITE_BATCH, end)]
+            j = bisect_left(at, lo + len(batch), i)
+            rows = [lines[p].split("\t", cut) for p in at[i:j]]
+            for col, column in fill:
+                for fields, t in zip(rows, changed[i:j]):
+                    fields[col] = column[t]
+            for p, fields in zip(at[i:j], rows):
+                batch[p - lo] = "\t".join(fields)
+            i = j
+            fh.write("\n".join(batch) + "\n")
 
 
 def sniff_format(path) -> Format:

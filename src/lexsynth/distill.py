@@ -7,29 +7,35 @@ synthesis, so labels can be swapped in with positional integrity.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from collections import Counter
+from dataclasses import asdict, dataclass
+from operator import ne
 
-from .corpus_io import LabeledCorpus, LabeledSentence, Schema
+from .corpus_io import LabeledCorpus, Schema
 from .errors import ValidationError
 
 
-def _position_labels(sent: LabeledSentence) -> list[str]:
+def _position_labels(corpus: LabeledCorpus) -> list[str]:
     """Each position's label, compared whole: ``head:deprel`` for DEP."""
-    if sent.schema is Schema.DEP:
-        return [f"{head}:{deprel}" for head, deprel in zip(sent.heads, sent.deprels)]
-    return sent.labels
+    if corpus.schema is Schema.DEP:
+        return [f"{head}:{deprel}" for head, deprel in zip(corpus.heads, corpus.deprels)]
+    return corpus.labels
 
 
-def _check_shape(pseudo: LabeledCorpus, other: LabeledCorpus, what: str) -> None:
+def _check_shape(pseudo: LabeledCorpus, other: LabeledCorpus, what: str):
+    """The first sentence whose tokens differ: (index, pseudo's, ``what``'s), or None."""
     if pseudo.schema is not other.schema:
         raise ValidationError(
             f"schema mismatch: pseudo is {pseudo.schema.value}, {what} is {other.schema.value}"
         )
-    if len(pseudo.sentences) != len(other.sentences):
+    if len(pseudo) != len(other):
         raise ValidationError(
-            f"sentence count mismatch: pseudo has {len(pseudo.sentences)}, "
-            f"{what} has {len(other.sentences)}"
+            f"sentence count mismatch: pseudo has {len(pseudo)}, {what} has {len(other)}"
         )
+    if pseudo.offsets == other.offsets and pseudo.tokens == other.tokens:
+        return None
+    return next((n, p.tokens, o.tokens) for n, (p, o) in enumerate(zip(pseudo.sentences, other.sentences))
+                if p.tokens != o.tokens)
 
 
 def apply_teacher_labels(
@@ -41,22 +47,17 @@ def apply_teacher_labels(
     changed. Token sequences must match exactly (case-sensitive); the first
     offending sentence/position is named otherwise.
     """
-    _check_shape(pseudo, teacher, "teacher")
-    changed = 0
-    sentences: list[LabeledSentence] = []
-    for n, (p, t) in enumerate(zip(pseudo.sentences, teacher.sentences)):
-        if p.tokens != t.tokens:
-            for i, (pt, tt) in enumerate(zip(p.tokens, t.tokens)):
-                if pt != tt:
-                    raise ValidationError(
-                        f"sentence {n}, position {i}: pseudo token {pt!r} != teacher token {tt!r}"
-                    )
-            raise ValidationError(
-                f"sentence {n}: pseudo has {len(p.tokens)} tokens, teacher has {len(t.tokens)}"
-            )
-        changed += sum(a != b for a, b in zip(_position_labels(p), _position_labels(t)))
-        sentences.append(replace(p, labels=t.labels, heads=t.heads, deprels=t.deprels))
-    return LabeledCorpus(pseudo.schema, sentences), changed
+    mismatch = _check_shape(pseudo, teacher, "teacher")
+    if mismatch:
+        n, p, t = mismatch
+        for i, (pt, tt) in enumerate(zip(p, t)):
+            if pt != tt:
+                raise ValidationError(
+                    f"sentence {n}, position {i}: pseudo token {pt!r} != teacher token {tt!r}"
+                )
+        raise ValidationError(f"sentence {n}: pseudo has {len(p)} tokens, teacher has {len(t)}")
+    changed = sum(map(ne, _position_labels(pseudo), _position_labels(teacher)))
+    return pseudo._replace(labels=teacher.labels, heads=teacher.heads, deprels=teacher.deprels), changed
 
 
 @dataclass(frozen=True)
@@ -73,22 +74,16 @@ class DistillReport:
 
 def distill_report(pseudo: LabeledCorpus, distilled: LabeledCorpus) -> DistillReport:
     """Count label changes between a pseudo corpus and its distilled version."""
-    _check_shape(pseudo, distilled, "distilled")
-    positions = 0
-    changed = 0
-    confusion: dict[str, int] = {}
-    for n, (p, d) in enumerate(zip(pseudo.sentences, distilled.sentences)):
-        if p.tokens != d.tokens:
-            raise ValidationError(f"sentence {n}: token sequences differ")
-        positions += len(p.tokens)
-        for before, after in zip(_position_labels(p), _position_labels(d)):
-            if before != after:
-                changed += 1
-                key = f"{before}->{after}"
-                confusion[key] = confusion.get(key, 0) + 1
+    mismatch = _check_shape(pseudo, distilled, "distilled")
+    if mismatch:
+        raise ValidationError(f"sentence {mismatch[0]}: token sequences differ")
+    positions = len(pseudo.tokens)
+    confusion = Counter(f"{before}->{after}" for before, after
+                        in zip(_position_labels(pseudo), _position_labels(distilled)) if before != after)
+    changed = sum(confusion.values())
     return DistillReport(
         positions=positions,
         changed=changed,
         change_rate=changed / positions if positions else 0.0,
-        per_label_confusion=confusion,
+        per_label_confusion=dict(confusion),
     )

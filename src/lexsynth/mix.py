@@ -48,4 +48,4 @@ def build_joint_labeled(gold: LabeledCorpus, pseudo: LabeledCorpus) -> LabeledCo
         raise ValidationError(
             f"schema mismatch: gold is {gold.schema.value}, pseudo is {pseudo.schema.value}"
         )
-    return LabeledCorpus(gold.schema, gold.sentences + pseudo.sentences)
+    return gold + pseudo

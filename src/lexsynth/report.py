@@ -32,11 +32,9 @@ def lexicon_pos_distribution(lex: Lexicon, tagged_reference: LabeledCorpus) -> P
     """
     if tagged_reference.schema is not Schema.POS:
         raise ValidationError("reference corpus must use the pos schema")
-    if not tagged_reference.sentences:
+    if not len(tagged_reference):
         raise ValidationError("reference corpus is empty")
-    tagged: Counter[tuple[str, str]] = Counter()
-    for sent in tagged_reference.sentences:
-        tagged.update(zip(map(str.casefold, sent.tokens), sent.labels))
+    tagged = Counter(zip(map(str.casefold, tagged_reference.tokens), tagged_reference.labels))
     best: dict[str, tuple[int, str]] = {}  # word -> (-count, tag) of its majority tag
     for (word, tag), n in tagged.items():
         best[word] = min(best.get(word, (0, "")), (-n, tag))

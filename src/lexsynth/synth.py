@@ -22,7 +22,7 @@ core (``_synthesize``):
   candidates in place, and the block is sliced back into rows, which go to
   the caller's sink before the next block starts. ``synth_mono``'s sink
   joins them into the lines of a ``MonoCorpus``, so no output token list
-  outlives its block.
+  outlives its block; ``synth_labeled``'s extends one new token column.
 - **The draw.** A SplitMix64 finalizer (Steele, Lea & Flood, OOPSLA 2014)
   over the seed, sentence index and token index, computed in numpy
   ``uint64``, whose wraparound arithmetic equals the same formula over
@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from itertools import chain
 
 import numpy as np
@@ -229,16 +229,13 @@ def synth_labeled(
                 "labeled synthesis requires a single-token-only lexicon"
             )
 
-    tokens: list[list[str]] = []
-    report = _synthesize([s.tokens for s in corpus.sentences], lex, cfg, tokens.extend)
-    out = [replace(sent, tokens=toks) for toks, sent in zip(tokens, corpus.sentences)]
-    return LabeledCorpus(corpus.schema, out), report
+    tokens: list[str] = []
+    report = _synthesize(corpus.token_rows(), lex, cfg, lambda rows: tokens.extend(chain(*rows)))
+    return corpus._replace(tokens=tokens), report
 
 
 def coverage(corpus: MonoCorpus | TokenizedCorpus | LabeledCorpus, lex: Lexicon) -> CoverageReport:
     """Count lexicon hits without synthesizing anything."""
     if isinstance(corpus, LabeledCorpus):
-        sentences = [s.tokens for s in corpus.sentences]
-    else:
-        sentences = corpus
-    return _synthesize(sentences, lex, None, None)
+        corpus = corpus.token_rows()
+    return _synthesize(corpus, lex, None, None)

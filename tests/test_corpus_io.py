@@ -2,6 +2,7 @@ import logging
 import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -464,11 +465,10 @@ class TestWriteChecks:
             changed = replace(sent, tokens=sent.tokens + ["x"], labels=sent.labels + ["X"])
         else:
             changed = replace(sent, tokens=sent.tokens[:-1], labels=sent.labels[:-1])
-        corpus.sentences[1] = changed
         out = tmp_path / "out"
         with pytest.raises(ValidationError, match=(
                 f"sentence 1: {len(changed.tokens)} tokens but {len(sent.tokens)} word rows")):
-            write_labeled(corpus, out, fmt)
+            write_labeled(LabeledCorpus(Schema.POS, [corpus.sentences[0], changed]), out, fmt)
         assert not out.exists()
 
     @pytest.mark.parametrize("fmt, schema, label", [
@@ -502,9 +502,10 @@ class TestWriteChecks:
         # giving a file read_labeled rejects ("inconsistent column count")
         corpus = read_labeled(write(tmp_path, "a\tX\tx\tm\n", "gold.tsv"), Schema.POS)
         if second is None:
-            corpus.sentences.append(LabeledSentence(["c"], Schema.POS, labels=["X"]))
+            more = [LabeledSentence(["c"], Schema.POS, labels=["X"])]
         else:
-            corpus.sentences += read_labeled(write(tmp_path, second, "pseudo.tsv"), Schema.POS).sentences
+            more = read_labeled(write(tmp_path, second, "pseudo.tsv"), Schema.POS).sentences
+        corpus = LabeledCorpus(Schema.POS, [*corpus.sentences, *more])
         out = tmp_path / "out.tsv"
         with pytest.raises(ValidationError, match=re.escape(
                 "sentence 1 has 2 two-col columns but sentence 0 has 4")):
@@ -599,6 +600,19 @@ class TestValidation:
     def test_dep_columns_must_match_the_tokens(self, heads, deprels, message):
         with pytest.raises(ValidationError, match=message):
             LabeledSentence(["a", "b"], Schema.DEP, heads=heads, deprels=deprels)
+
+    @pytest.mark.parametrize("head", [1.0, True, 1.5])
+    def test_dep_heads_must_be_integers(self, head):
+        # each was accepted and written as text that read_labeled rejects
+        with pytest.raises(ValidationError, match=re.escape(
+                f"dep head {head!r} at position 1 is not an integer")):
+            LabeledSentence(["a", "b"], Schema.DEP, heads=[0, head], deprels=["root", "obj"])
+
+    def test_numpy_integer_heads_are_written_as_integers(self, tmp_path):
+        sent = LabeledSentence(["a", "b"], Schema.DEP, heads=[0, np.int64(1)], deprels=["root", "obj"])
+        out = tmp_path / "out.conllu"
+        write_labeled(LabeledCorpus(Schema.DEP, [sent]), out, Format.CONLLU)
+        assert read_labeled(out, Schema.DEP, Format.CONLLU).sentences[0].heads == [0, 1]
 
     def test_dep_head_range(self):
         with pytest.raises(ValidationError):
@@ -853,16 +867,81 @@ def test_labeled_fill_matches_text_oracle(tmp_path_factory, case):
     path.write_bytes(text.encode("utf-8"))
     corpus = read_labeled(path, schema, fmt, **options)
     assert len(corpus) == len(values)
-    for k, (tokens, *labels) in enumerate(values):
+    sentences = []
+    for sent, (tokens, *labels) in zip(corpus.sentences, values):
         if schema is Schema.DEP:
             new = {"heads": list(map(int, labels[0])), "deprels": labels[1]}
         else:
             new = {"labels": labels[0]}
-        corpus.sentences[k] = replace(corpus.sentences[k], tokens=tokens, **new)
+        sentences.append(replace(sent, tokens=tokens, **new))
+    corpus = LabeledCorpus(schema, sentences)
     out = tmp / "out"
     write_labeled(corpus, out, fmt)
     want = labeled_oracle.fill(text, fmt is Format.CONLLU, columns, values)
     assert out.read_bytes() == want.encode("utf-8")
+
+
+@st.composite
+def corrupted_texts(draw):
+    """A CoNLL-U or TwoColumn text with one word line corrupted, how to read
+    it, and the number of that line. The corruptions: a tab dropped, the
+    previous word's ID repeated (CoNLL-U), a space put into the token, and
+    the ID ``2-1`` (CoNLL-U)."""
+    if draw(st.booleans()):
+        schema, text, _ = draw(conllu_texts())
+        fmt, options, token_col = Format.CONLLU, {}, 1
+        lines = text.split("\n")
+        words = [i for i, line in enumerate(lines) if line.split("\t")[0].isdigit()]
+        kind = draw(st.sampled_from(["tab", "repeat", "space", "range"]))
+    else:
+        schema = draw(st.sampled_from([Schema.NER, Schema.POS]))
+        ncols = draw(st.integers(2, 4))
+        token_col, label_col = draw(st.permutations(range(ncols)))[:2]
+        fmt, options = Format.TWO_COL, {"token_col": token_col, "label_col": label_col}
+        blocks = []
+        for n in draw(st.lists(st.integers(1, 4), max_size=4)):
+            rows = []
+            for _ in range(n):
+                fields = draw(st.lists(FIELDS, min_size=ncols, max_size=ncols))
+                fields[token_col], fields[label_col] = draw(TOKENS), draw(FIELDS.filter(bool))
+                rows.append("\t".join(fields))
+            blocks.append("\n".join(rows) + "\n")
+        lines = "\n".join(blocks).split("\n")
+        words = [i for i, line in enumerate(lines) if line]
+        kind = draw(st.sampled_from(["tab", "space"]))
+    assume(words)
+    i = draw(st.sampled_from(words))
+    fields = lines[i].split("\t")
+    if kind == "tab":
+        # the first TwoColumn line sets the file's column count
+        assume(fmt is Format.CONLLU or i != words[0])
+        t = draw(st.integers(0, len(fields) - 2))
+        fields[t:t + 2] = [fields[t] + fields[t + 1]]
+    elif kind == "space":
+        token = fields[token_col]
+        at = draw(st.integers(0, len(token)))
+        fields[token_col] = token[:at] + " " + token[at:]
+    elif kind == "repeat":
+        assume(fields[0] != "1")
+        fields[0] = str(int(fields[0]) - 1)
+    else:
+        fields[0] = "2-1"
+    lines[i] = "\t".join(fields)
+    text = "\n".join(lines)
+    assume(not text.startswith(BOM))
+    return fmt, schema, options, text, i + 1
+
+
+@given(corrupted_texts())
+@settings(max_examples=300, deadline=None)
+def test_a_corrupted_word_line_is_named(tmp_path_factory, case):
+    """Whichever check a corrupted line fails, the error names that line."""
+    fmt, schema, options, text, line = case
+    path = tmp_path_factory.mktemp("corrupt") / "x"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(DataFormatError) as exc:
+        read_labeled(path, schema, fmt, **options)
+    assert exc.value.line == line
 
 
 def assert_labeled_round_trip(path, corpus, fmt):
