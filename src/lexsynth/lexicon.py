@@ -1,20 +1,20 @@
 """Bilingual lexicon: data model, TSV ingestion, merging and statistics.
 
-A lexicon maps a case-folded source word type to an ordered list of candidate
-translations. Candidates keep the order in which they were first seen in the
-input file so that seeded sampling downstream is reproducible from the same
-file. Beside each source's ordered list, ``Lexicon`` keeps a private index
-from target to list position, so adding a pair is a dictionary lookup
-rather than a scan of the source's candidates (PanLex-style sources carry
-thousands of them). Add pairs through ``Lexicon.add``; ``entries`` is for
-reading.
+A lexicon maps each case-folded source word type to one dict from its
+normalized candidate translations to their provenance, in the order first
+seen in the input file, so seeded sampling downstream is reproducible from
+the same file. The dict is also the duplicate check, so adding a pair never
+scans a source's candidates (PanLex-style sources carry thousands). Add
+pairs through ``Lexicon.add``; ``entries`` is for reading, and ``lookup``
+and ``iter_entries`` build ``LexiconEntry`` views, of which none is stored.
 
 File format: UTF-8 TSV, one ``source<TAB>target`` pair per line; blank lines
 are ignored. A line starting with ``#`` is a comment only when it has no
 tab, so an entry whose source starts with ``#`` (``#1<TAB>x``) is read back
 as an entry; comments, including the metadata ones, never hold a tab. A few
 optional metadata comments (``# src_lang: xx``, ``# tgt_lang: xx``,
-``# provenance: induced``) survive a save/load round trip.
+``# provenance: induced``) survive a save/load round trip and apply to the
+whole file; ``merge`` takes an unnamed language (``und``) to match any.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import enum
 import logging
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import DataFormatError, ValidationError, open_input
 
@@ -41,23 +42,16 @@ class LoadMode(enum.Enum):
     SINGLE_TOKEN_ONLY = "single-token-only"
 
 
-@dataclass(frozen=True)
-class LexiconEntry:
-    """One (source word, translation) pair.
+class LexiconEntry(NamedTuple):
+    """One (source word, translation) pair, built on request from a lexicon.
 
     ``source`` is a single case-folded token; ``target`` may contain several
-    space-separated tokens and is stored verbatim.
+    space-separated tokens.
     """
 
     source: str
     target: str
     provenance: Provenance = Provenance.BASE
-
-    def __post_init__(self):
-        if self.source.split() != [self.source]:
-            raise ValidationError(f"lexicon source must be a single non-empty token: {self.source!r}")
-        if not self.target or not self.target.split():
-            raise ValidationError(f"lexicon target must be non-empty: {self.target!r}")
 
     @property
     def is_multi_token(self) -> bool:
@@ -70,10 +64,17 @@ class Lexicon:
 
     src_lang: str = UND
     tgt_lang: str = UND
-    entries: dict[str, list[LexiconEntry]] = field(default_factory=dict)
-    # source -> target -> index of that candidate in entries[source]
-    _positions: dict[str, dict[str, int]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+    # case-folded source -> normalized target -> provenance, in first-seen order
+    entries: dict[str, dict[str, Provenance]] = field(default_factory=dict)
+
+    def __eq__(self, other):
+        # Each source's candidates must match in order, which fixes the draws;
+        # the order of the sources does not count.
+        if not isinstance(other, Lexicon):
+            return NotImplemented
+        return (self.src_lang == other.src_lang and self.tgt_lang == other.tgt_lang
+                and self.entries == other.entries
+                and all(list(c) == list(other.entries[s]) for s, c in self.entries.items()))
 
     def add(self, source: str, target: str, provenance: Provenance = Provenance.BASE) -> bool:
         """Add one pair; returns False if the (source, target) pair already exists.
@@ -83,30 +84,31 @@ class Lexicon:
         replaces an INDUCED duplicate in place.
         """
         key = source.casefold()
+        if key.split() != [key]:
+            raise ValidationError(f"lexicon source must be a single non-empty token: {key!r}")
         target = " ".join(target.split())
-        entry = LexiconEntry(key, target, provenance)
-        cands = self.entries.setdefault(key, [])
-        positions = self._positions.setdefault(key, {})
-        i = positions.get(target)
-        if i is not None:
-            if provenance is Provenance.BASE and cands[i].provenance is Provenance.INDUCED:
-                cands[i] = entry
-            return False
-        positions[target] = len(cands)
-        cands.append(entry)
-        return True
+        if not target:
+            raise ValidationError(f"lexicon target must be non-empty: {target!r}")
+        cands = self.entries.setdefault(key, {})
+        if target not in cands:
+            cands[target] = provenance
+            return True
+        if provenance is Provenance.BASE:  # an assignment keeps the key's position
+            cands[target] = provenance
+        return False
 
     def lookup(self, token: str) -> list[LexiconEntry]:
         """Candidates for a token, matched case-insensitively; [] if absent."""
-        return self.entries.get(token.casefold(), [])
+        key = token.casefold()
+        return [LexiconEntry(key, t, p) for t, p in self.entries.get(key, {}).items()]
 
     def entry_count(self) -> int:
         """Number of distinct (source, target) pairs."""
         return sum(len(c) for c in self.entries.values())
 
     def iter_entries(self):
-        for cands in self.entries.values():
-            yield from cands
+        for source, cands in self.entries.items():
+            yield from (LexiconEntry(source, t, p) for t, p in cands.items())
 
 
 @dataclass(frozen=True)
@@ -133,7 +135,7 @@ def load_lexicon(path, mode: LoadMode = LoadMode.ALLOW_MULTI_TOKEN) -> tuple[Lex
     logged at INFO. Duplicate pairs are silently collapsed keeping first-seen order.
     """
     meta: dict[str, str] = {}
-    lex = Lexicon()
+    pairs: list[tuple[str, str]] = []
     unusable = multi_token = 0
     with open_input(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -162,10 +164,11 @@ def load_lexicon(path, mode: LoadMode = LoadMode.ALLOW_MULTI_TOKEN) -> tuple[Lex
             if mode is LoadMode.SINGLE_TOKEN_ONLY and len(target.split()) > 1:
                 multi_token += 1
                 continue
-            provenance = Provenance.INDUCED if meta.get("provenance") == "induced" else Provenance.BASE
-            lex.add(source, target, provenance)
-    lex.src_lang = meta.get("src_lang", UND)
-    lex.tgt_lang = meta.get("tgt_lang", UND)
+            pairs.append((source, target))
+    provenance = Provenance.INDUCED if meta.get("provenance") == "induced" else Provenance.BASE
+    lex = Lexicon(meta.get("src_lang", UND), meta.get("tgt_lang", UND))
+    for source, target in pairs:
+        lex.add(source, target, provenance)
     if unusable:
         logger.warning("skipped %d unusable line(s) in %s", unusable, path)
     if multi_token:
@@ -181,11 +184,10 @@ def save_lexicon(lex: Lexicon, path) -> None:
         lines.append(f"# src_lang: {lex.src_lang}")
     if lex.tgt_lang != UND:
         lines.append(f"# tgt_lang: {lex.tgt_lang}")
-    entries = list(lex.iter_entries())
-    if entries and all(e.provenance is Provenance.INDUCED for e in entries):
+    if lex.entries and all(p is Provenance.INDUCED for c in lex.entries.values() for p in c.values()):
         lines.append("# provenance: induced")
-    for e in entries:
-        lines.append(f"{e.source}\t{e.target}")
+    for source, cands in lex.entries.items():
+        lines.extend(f"{source}\t{target}" for target in cands)
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         for line in lines:
             fh.write(line + "\n")
@@ -194,34 +196,28 @@ def save_lexicon(lex: Lexicon, path) -> None:
 def merge(base: Lexicon, extra: Lexicon) -> Lexicon:
     """Union of two lexicons over the same language pair.
 
+    ``und`` matches any language, and the union takes the determined one.
     Base candidates precede extra candidates per source; duplicate pairs
     collapse keeping Base provenance.
     """
-    if base.src_lang != extra.src_lang or base.tgt_lang != extra.tgt_lang:
+    out = Lexicon(base.src_lang if base.src_lang != UND else extra.src_lang,
+                  base.tgt_lang if base.tgt_lang != UND else extra.tgt_lang)
+    if extra.src_lang not in (UND, out.src_lang) or extra.tgt_lang not in (UND, out.tgt_lang):
         raise ValidationError(
             f"language mismatch: {base.src_lang}-{base.tgt_lang} vs {extra.src_lang}-{extra.tgt_lang}"
         )
-    out = Lexicon(base.src_lang, base.tgt_lang)
-    for e in base.iter_entries():
-        out.add(e.source, e.target, e.provenance)
-    for e in extra.iter_entries():
-        out.add(e.source, e.target, e.provenance)
+    for lex in (base, extra):
+        for source, cands in lex.entries.items():
+            for target, provenance in cands.items():
+                out.add(source, target, provenance)
     return out
 
 
 def lexicon_stats(lex: Lexicon) -> LexiconStats:
     """Exact pair/source/candidate counts over a lexicon."""
-    pairs = 0
-    multi_cand = 0
-    multi_tok = 0
-    for cands in lex.entries.values():
-        pairs += len(cands)
-        if len(cands) > 1:
-            multi_cand += 1
-        multi_tok += sum(1 for e in cands if e.is_multi_token)
     return LexiconStats(
-        entry_pairs=pairs,
+        entry_pairs=lex.entry_count(),
         distinct_sources=len(lex.entries),
-        multi_candidate_sources=multi_cand,
-        multi_token_targets=multi_tok,
+        multi_candidate_sources=sum(len(cands) > 1 for cands in lex.entries.values()),
+        multi_token_targets=sum(" " in t for cands in lex.entries.values() for t in cands),
     )

@@ -116,7 +116,7 @@ class _Types(dict):
     def _add_candidates(self, key: str) -> tuple[int, int]:
         start = len(self.cands)
         found = self.entries.get(key) or ()
-        self.cands.extend(" ".join(entry.target.split()) for entry in found)
+        self.cands.extend(found)
         return start, len(found)
 
     def cand_array(self) -> np.ndarray:
@@ -222,12 +222,13 @@ def synth_labeled(
     The lexicon must contain single-token targets only, so token counts (and
     with them head indices) cannot change.
     """
-    for entry in lex.iter_entries():
-        if entry.is_multi_token:
-            raise ValidationError(
-                f"lexicon entry {entry.source!r} -> {entry.target!r} has a multi-token target; "
-                "labeled synthesis requires a single-token-only lexicon"
-            )
+    for source, cands in lex.entries.items():
+        for target in cands:
+            if " " in target:
+                raise ValidationError(
+                    f"lexicon entry {source!r} -> {target!r} has a multi-token target; "
+                    "labeled synthesis requires a single-token-only lexicon"
+                )
 
     tokens: list[str] = []
     report = _synthesize(corpus.token_rows(), lex, cfg, lambda rows: tokens.extend(chain(*rows)))

@@ -75,6 +75,22 @@ class TestLexCommands:
                      "--out", str(out)]) == 0
         assert out.read_text(encoding="utf-8") == "a\tx\na\ty\nb\tz\n"
 
+    def test_induce_then_merge_into_a_base_that_names_its_languages(self, tmp_path):
+        # the induced lexicon names no languages (und), which match the base's
+        (tmp_path / "src.txt").write_text("the house\nthe book\na house\n", encoding="utf-8")
+        (tmp_path / "tgt.txt").write_text("das haus\ndas buch\nein haus\n", encoding="utf-8")
+        induced, merged = tmp_path / "induced.tsv", tmp_path / "merged.tsv"
+        assert main(["lex", "induce", "--src", str(tmp_path / "src.txt"),
+                     "--tgt", str(tmp_path / "tgt.txt"), "--out", str(induced),
+                     "--min-count", "1"]) == 0
+        base = tmp_path / "base.tsv"
+        base.write_text("# src_lang: en\n# tgt_lang: de\nhouse\thaus\nthe\tder\n", encoding="utf-8")
+        assert main(["lex", "merge", "--base", str(base), "--extra", str(induced),
+                     "--out", str(merged)]) == 0
+        assert merged.read_text(encoding="utf-8") == (
+            "# src_lang: en\n# tgt_lang: de\n"
+            "house\thaus\nthe\tder\nthe\tdas\na\tein\nbook\tbuch\n")
+
     def test_merge_logs_dropped_lines(self, tmp_path, capsys, caplog):
         # a source with whitespace can never match a token: dropped, counted
         base = lexicon_file(tmp_path, [("a", "x"), ("new york", "nju jork")], "base.tsv")

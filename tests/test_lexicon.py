@@ -153,6 +153,15 @@ class TestRoundTrip:
         assert (relex.src_lang, relex.tgt_lang) == ("en", "mlt")
         assert relex.lookup("a")[0].provenance is Provenance.INDUCED
 
+    def test_provenance_comment_applies_to_the_whole_file(self, tmp_path):
+        # like the language comments, wherever it stands
+        lex, _ = load_lexicon(write(tmp_path, "a\tx\n# provenance: induced\nb\ty\n"))
+        assert [e.provenance for e in lex.iter_entries()] == [Provenance.INDUCED] * 2
+        path = tmp_path / "again.tsv"
+        save_lexicon(lex, path)
+        assert path.read_text(encoding="utf-8") == "# provenance: induced\na\tx\nb\ty\n"
+        assert load_lexicon(path)[0] == lex
+
 
 class TestAdd:
     def test_duplicate_returns_false_and_keeps_first_seen_order(self):
@@ -192,6 +201,12 @@ class TestAdd:
         assert [e.target for e in lex.lookup("src")] == targets
         assert elapsed < 2.0
 
+    def test_equality_counts_candidate_order_and_provenance_not_source_order(self):
+        assert build_lexicon([("a", "x"), ("b", "y")]) == build_lexicon([("b", "y"), ("A", "x")])
+        assert build_lexicon([("a", "x"), ("a", "y")]) != build_lexicon([("a", "y"), ("a", "x")])
+        assert build_lexicon([("a", "x")]) != build_lexicon([("a", "x")], Provenance.INDUCED)
+        assert build_lexicon([("a", "x")]) != build_lexicon([("a", "x")], src_lang="en")
+
 
 class TestMerge:
     def test_identity_with_empty(self):
@@ -218,6 +233,18 @@ class TestMerge:
     def test_language_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             merge(Lexicon(src_lang="en", tgt_lang="mlt"), Lexicon(src_lang="en", tgt_lang="wol"))
+
+    def test_undetermined_language_matches_any(self):
+        # an induced lexicon names no languages; the union takes the base's
+        base = build_lexicon([("a", "x")], src_lang="en", tgt_lang="mlt")
+        induced = build_lexicon([("a", "x"), ("b", "y")], Provenance.INDUCED)
+        for merged in (merge(base, induced), merge(induced, base)):
+            assert (merged.src_lang, merged.tgt_lang) == ("en", "mlt")
+            assert merged.entry_count() == 2
+        merged = merge(Lexicon(src_lang="en"), Lexicon(tgt_lang="mlt"))
+        assert (merged.src_lang, merged.tgt_lang) == ("en", "mlt")
+        with pytest.raises(ValidationError, match="language mismatch: en-und vs wol-mlt"):
+            merge(Lexicon(src_lang="en"), Lexicon(src_lang="wol", tgt_lang="mlt"))
 
     def test_pair_set_is_exact_union_and_associative(self):
         rng = random.Random(5)
@@ -300,3 +327,51 @@ def test_save_load_round_trip(tmp_path_factory, lex):
     assert dropped == 0
     assert (again.src_lang, again.tgt_lang) == (lex.src_lang, lex.tgt_lang)
     assert list(again.iter_entries()) == list(lex.iter_entries())
+
+
+def model_add(model, source, target, provenance):
+    """``Lexicon.add`` on a plain list of (source, target, provenance)."""
+    source, target = source.casefold(), " ".join(target.split())
+    for i, (s, t, p) in enumerate(model):
+        if (s, t) == (source, target):
+            if provenance is Provenance.BASE:
+                model[i] = (s, t, provenance)
+            return False
+    model.append((source, target, provenance))
+    return True
+
+
+def model_entries(model):
+    """The model's pairs grouped by source, sources in first-seen order."""
+    sources = []
+    for s, _, _ in model:
+        if s not in sources:
+            sources.append(s)
+    return [entry for s in sources for entry in model if entry[0] == s]
+
+
+# "Straße" and "STRASSE" case-fold to one source; targets differ in whitespace
+ADDS = st.lists(st.tuples(st.sampled_from(["a", "A", "b", "Straße", "STRASSE"]),
+                          st.text("xy \t", max_size=4).filter(str.strip),
+                          st.sampled_from(Provenance)), max_size=20)
+
+
+def triples(lex):
+    return [(e.source, e.target, e.provenance) for e in lex.iter_entries()]
+
+
+@given(ADDS, ADDS)
+@settings(max_examples=150, deadline=None)
+def test_lexicon_matches_list_model(adds_a, adds_b):
+    lexes = []
+    for adds in (adds_a, adds_b):
+        lex, model = Lexicon(), []
+        for add in adds:
+            assert lex.add(*add) == model_add(model, *add)
+        assert triples(lex) == model_entries(model)
+        assert lex.entry_count() == len(model)
+        lexes.append(lex)
+    model = []
+    for add in adds_a + adds_b:
+        model_add(model, *add)
+    assert triples(merge(*lexes)) == model_entries(model)

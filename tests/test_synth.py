@@ -43,7 +43,7 @@ def reference_synth(sentences, lex, cfg):
         row = []
         for j, token in enumerate(sentence):
             key = token.casefold()
-            cands = lex.entries.get(key)
+            cands = lex.lookup(token)
             total += 1
             keys.add(key)
             if not cands:
