@@ -9,7 +9,12 @@ Formats handled:
   * parallel text: two line-aligned monolingual files. ``read_parallel``
     returns a ``ParallelPairs``, whose two sides are ``MonoCorpus`` lines;
     ``lex induce`` encodes those lines (``align.EncodedCorpus``) without
-    ever holding a token list per sentence
+    ever holding a token list per sentence. Both plain-text readers read
+    about 2**20 characters at a time, each chunk cut at its last line end;
+    a chunk that is already single-spaced (no space at a line's start or
+    end, no two spaces side by side, no other whitespace; blank lines
+    allowed) is split at its line ends and kept as read, and any other has
+    each line re-spaced
   * TwoColumn: one ``token<TAB>label`` line per token; extra tab-separated
     columns are kept for round-tripping
   * CoNLL-U: standard 10-column lines; comments, multiword-token range lines
@@ -51,7 +56,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import lt, ne
 from pathlib import Path
 
@@ -65,6 +70,13 @@ ParallelCorpus = list[tuple[TokenizedSentence, TokenizedSentence]]
 
 # Lines ``write_mono`` and ``write_labeled`` join into one write.
 _WRITE_BATCH = 1024
+# Characters ``read_mono`` and ``read_parallel`` read at a time.
+_READ_CHARS = 2**20
+# What ``str.split`` splits at but a space, LF and CR (which text mode has
+# turned into LF): the ASCII characters, then all of them.
+_ASCII_SPACE = "\t\x0b\x0c\x1c\x1d\x1e\x1f"
+_OTHER_SPACE = _ASCII_SPACE + ("\x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006"
+                               "\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000")
 
 
 class Schema(enum.Enum):
@@ -289,25 +301,69 @@ class MonoCorpus(Sequence):
         return f"MonoCorpus({self.lines!r})"
 
 
+def _single_spaced(text: str) -> bool:
+    """True when every line of ``text`` (lines end at LF) is blank or its
+    tokens joined by single spaces: no line starts or ends with a space, no
+    two spaces are adjacent, and no other whitespace occurs."""
+    if text[:1] == " " or text[-1:] == " ":
+        return False
+    # Two spaces side by side here are two spaces, a space and an LF, or a
+    # blank line's two LFs; only the last is single-spaced.
+    spaced = text.replace("\n", " ")
+    at = spaced.find("  ")
+    while at >= 0:
+        if text[at] != "\n" or text[at + 1] != "\n":
+            return False
+        at = spaced.find("  ", at + 1)
+    others = _ASCII_SPACE if text.isascii() else _OTHER_SPACE
+    return not any(c in text for c in others)
+
+
+def _lines(text: str) -> list[str]:
+    """The lines of ``text`` (lines end at LF), each with its tokens joined
+    by single spaces ("" for a blank line); kept as read when ``text`` is
+    single-spaced already."""
+    lines = text.split("\n")
+    return lines if _single_spaced(text) else [" ".join(line.split()) for line in lines]
+
+
+def _chunks(fh):
+    """The lines of text file ``fh`` as ``_lines`` gives them, one list for
+    about ``_READ_CHARS`` characters at a time.
+
+    A chunk ends at its last LF, and the rest is carried over to the next.
+    """
+    tail = ""
+    while text := fh.read(_READ_CHARS):
+        cut = text.rfind("\n")
+        if cut < 0:  # a line longer than a chunk
+            tail += text
+            continue
+        text, tail = tail + text[:cut], text[cut + 1:]
+        yield _lines(text)
+    if tail:
+        yield _lines(tail)
+
+
 def read_mono(path, limit: int | None = None) -> MonoCorpus:
     """Read one tokenized sentence per line; blank lines are skipped.
 
-    ``limit`` keeps only the first N sentences (0 keeps none); no line past
-    the limit is read, but the file is opened whatever the limit, so a
-    missing file is an error. Each kept line is held with its tokens joined
-    by single spaces.
+    ``limit`` keeps only the first N sentences (0 keeps none); no chunk of
+    text past the one holding line N is read, but the file is opened
+    whatever the limit, so a missing file is an error. A byte that is not
+    UTF-8 inside text already read is an error even past the limit, as the
+    text layer decodes ahead of the lines returned. Each kept line is held
+    with its tokens joined by single spaces.
     """
     if limit is not None and limit < 0:
         raise ValidationError(f"limit must be >= 0, got {limit}")
     lines: list[str] = []
     with open_input(path) as fh:
         if limit != 0:
-            for line in fh:
-                line = " ".join(line.split())
-                if not line:
-                    continue
-                lines.append(line)
+            for chunk in _chunks(fh):
+                lines += filter(None, chunk)
                 if limit is not None and len(lines) >= limit:
+                    del lines[limit:]
                     break
     return MonoCorpus(lines)
 
@@ -380,26 +436,23 @@ def read_parallel(src_path, tgt_path) -> ParallelPairs:
     does not end it. Each kept line is held as ``read_mono`` holds it, with
     its tokens joined by single spaces.
     """
-    with open_input(src_path) as fh:
-        src_lines = list(fh)
-    with open_input(tgt_path) as fh:
-        tgt_lines = list(fh)
-    if len(src_lines) != len(tgt_lines):
+    sides = []
+    for path in (src_path, tgt_path):
+        with open_input(path) as fh:
+            sides.append(list(chain.from_iterable(_chunks(fh))))
+    src, tgt = sides
+    if len(src) != len(tgt):
         raise ValidationError(
-            f"parallel line count mismatch: {src_path} has {len(src_lines)} lines, "
-            f"{tgt_path} has {len(tgt_lines)} lines"
+            f"parallel line count mismatch: {src_path} has {len(src)} lines, "
+            f"{tgt_path} has {len(tgt)} lines"
         )
-    src, tgt, dropped = [], [], []
-    for n, (s, t) in enumerate(zip(src_lines, tgt_lines)):
-        s, t = " ".join(s.split()), " ".join(t.split())
-        if not s or not t:
-            dropped.append(n)
-            continue
-        src.append(s)
-        tgt.append(t)
-    if dropped:
+    dropped = ()
+    if "" in src or "" in tgt:
+        keep = list(map(all, zip(src, tgt)))
+        dropped = tuple(n for n, kept in enumerate(keep) if not kept)
+        src, tgt = list(compress(src, keep)), list(compress(tgt, keep))
         logger.warning("dropped %d parallel pair(s) with a blank side", len(dropped))
-    return ParallelPairs(MonoCorpus(src), MonoCorpus(tgt), tuple(dropped))
+    return ParallelPairs(MonoCorpus(src), MonoCorpus(tgt), dropped)
 
 
 def write_parallel(corpus: ParallelPairs | ParallelCorpus, src_path, tgt_path) -> None:

@@ -13,8 +13,12 @@ are ignored. A line starting with ``#`` is a comment only when it has no
 tab, so an entry whose source starts with ``#`` (``#1<TAB>x``) is read back
 as an entry; comments, including the metadata ones, never hold a tab. A few
 optional metadata comments (``# src_lang: xx``, ``# tgt_lang: xx``,
-``# provenance: induced``) survive a save/load round trip and apply to the
-whole file; ``merge`` takes an unnamed language (``und``) to match any.
+``# provenance: induced``) apply to the whole file; ``merge`` takes an
+unnamed language (``und``) to match any. The languages survive a save/load
+round trip, and so does provenance when every pair has the same one. The
+file holds no provenance per pair: ``save_lexicon`` writes the comment only
+when every pair is induced, so a lexicon mixing base and induced pairs (as
+``merge`` of the two makes) reloads as all base.
 """
 
 from __future__ import annotations
@@ -177,7 +181,10 @@ def load_lexicon(path, mode: LoadMode = LoadMode.ALLOW_MULTI_TOKEN) -> tuple[Lex
 
 
 def save_lexicon(lex: Lexicon, path) -> None:
-    """Write TSV with sources in first-seen order (LF, trailing newline)."""
+    """Write TSV with sources in first-seen order (LF, trailing newline).
+
+    ``# provenance: induced`` is written only when every pair is induced.
+    """
     path = Path(path)
     lines = []
     if lex.src_lang != UND:

@@ -40,6 +40,31 @@ FIELDS = st.text(st.characters(codec="utf-8", exclude_characters="\t\r\n"), max_
 # Every reader drops a byte-order mark at the start of a file, so a file
 # whose text starts with one cannot round-trip.
 BOM = "\ufeff"
+# What str.split breaks a line at but text-mode reading does not end it at:
+# every whitespace character but LF and CR, the space included.
+SPACES = [c for c in map(chr, range(0x110000)) if c.isspace() and c not in "\n\r"]
+# Between tokens and at either end of a line: any whitespace a line can
+# hold, or only spaces, mostly single ones.
+SEPARATORS = st.sampled_from(["  ", " \t\u00a0", *SPACES])
+EDGES = st.sampled_from(["", *SPACES])
+NEAR_SEPARATORS = st.sampled_from([" ", " ", " ", "  "])
+NEAR_EDGES = st.sampled_from(["", "", "", " "])
+
+
+@st.composite
+def mono_texts(draw):
+    """A plain-text file with a BOM or not, LF, CRLF or CR line ends, and
+    blank and whitespace-only lines among the sentences. Half the files
+    hold no whitespace but spaces, mostly single ones, so that many lines,
+    and chunks of them, are single-spaced already, or all but one space."""
+    text = BOM if draw(st.booleans()) else ""
+    separators, edges = (SEPARATORS, EDGES) if draw(st.booleans()) else (NEAR_SEPARATORS, NEAR_EDGES)
+    for _ in range(draw(st.integers(0, 8))):
+        line = draw(edges)
+        for n, token in enumerate(draw(st.lists(TOKENS, max_size=4))):
+            line += (draw(separators) if n else "") + token
+        text += line + draw(edges) + draw(st.sampled_from(["\n", "\r\n", "\r", ""]))
+    return text
 
 
 def build_lexicon(pairs, provenance=Provenance.BASE, **langs):

@@ -1,6 +1,7 @@
 import logging
 import re
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import labeled_oracle
-from conftest import BOM, FIELDS, TOKENS
+import mono_oracle
+from conftest import BOM, FIELDS, SPACES, TOKENS, mono_texts
+from lexsynth import corpus_io
 from lexsynth.corpus_io import (
     BlockRows,
     Format,
@@ -89,6 +92,15 @@ class TestMono:
         assert isinstance(corpus, MonoCorpus)
         assert corpus.lines == ["a b c", "d e"]
 
+    @pytest.mark.parametrize("text", [
+        "a b\n\n\nc\n", " a\nb\n", "a\nb ", "a  b\n", "a\n b\n", "a \nb\n", "a\n\n b\n",
+        "a \n\nb\n", "a\n\n\n b\n", "a\n\n\n\n b\n", "a\u3000b\n", "a\x1fb\n",
+    ])
+    def test_each_space_out_of_place_is_found(self, tmp_path, text):
+        # the file is one chunk, single-spaced but for at most one place
+        path = write(tmp_path, text, "m.txt")
+        assert read_mono(path).lines == [" ".join(tokens) for tokens in mono_oracle.read_mono(path)]
+
     @pytest.mark.parametrize("token", ["a b", "", "\t", "a\u2028"])
     def test_write_rejects_a_token_its_line_would_split(self, tmp_path, token):
         # the token used to be written inside the joined line
@@ -106,6 +118,16 @@ class TestMono:
         offset = len(good.encode("utf-8")) + 1
         with pytest.raises(DataFormatError,
                            match=f"m.txt: not valid UTF-8: byte 0xe9 at byte offset {offset}$"):
+            read_mono(path)
+
+    def test_limit_reads_no_chunk_past_the_limit_line(self, tmp_path, monkeypatch):
+        # chunks larger than the 8192 bytes the text layer decodes at a time
+        monkeypatch.setattr(corpus_io, "_READ_CHARS", 2**14)
+        path = tmp_path / "m.txt"
+        path.write_bytes(b"a b\n" * 10_000 + b"c\xe9\n")  # the bad byte is in chunk 3
+        assert read_mono(path, limit=10) == [["a", "b"]] * 10
+        assert len(read_mono(path, limit=5000)) == 5000  # in chunk 2
+        with pytest.raises(DataFormatError, match="byte offset 40001$"):
             read_mono(path)
 
 
@@ -196,6 +218,18 @@ class TestParallel:
         assert pairs.dropped == (1,)
         assert pairs == [(["a", "b", "c", "d", "e"], ["x", "y", "y"]), (["f"], ["w"])]
         assert pairs[-1] == (["f"], ["w"]) and pairs[1:] == [(["f"], ["w"])]
+
+    def test_undecodable_byte_named_by_its_file_offset(self, tmp_path, monkeypatch):
+        # in a later chunk of the target file than the first
+        monkeypatch.setattr(corpus_io, "_READ_CHARS", 2**14)
+        good = "\ufeff" + "a b\n" * 50_000
+        src = write(tmp_path, good + "c\n", "s.txt")
+        tgt = tmp_path / "t.txt"
+        tgt.write_bytes(good.encode("utf-8") + b"c\xe9\n")
+        offset = len(good.encode("utf-8")) + 1
+        with pytest.raises(DataFormatError,
+                           match=f"t.txt: not valid UTF-8: byte 0xe9 at byte offset {offset}$"):
+            read_parallel(src, tgt)
 
     def test_write_writes_the_sides_lines(self, tmp_path):
         pairs = ParallelPairs(MonoCorpus(["a b", "c"]), MonoCorpus(["x", "y z"]))
@@ -677,6 +711,56 @@ def test_line_ends_read_alike(tmp_path, eol):
     for read, *texts in cases:
         lf, other = read_both(read, *texts)
         assert other == lf
+
+
+def test_other_space_is_what_str_split_splits_at():
+    # conftest builds SPACES from str.isspace over every code point, which
+    # the package does not do at import
+    assert sorted(corpus_io._OTHER_SPACE) == sorted(set(SPACES) - {" "})
+    assert sorted(corpus_io._ASCII_SPACE) == sorted({c for c in SPACES if c.isascii()} - {" "})
+
+
+def parallel_reference(src, tgt):
+    """Line counts, then each side's kept lines and the dropped line
+    numbers, from whole-file lists of token lists."""
+    sides = []
+    for path in (src, tgt):
+        with open(path, encoding="utf-8-sig") as fh:
+            sides.append([line.split() for line in fh])
+    counts = tuple(map(len, sides))
+    if counts[0] != counts[1]:
+        return counts, None
+    src, tgt, dropped = [], [], []
+    for n, (s, t) in enumerate(zip(*sides)):
+        if s and t:
+            src.append(" ".join(s))
+            tgt.append(" ".join(t))
+        else:
+            dropped.append(n)
+    return counts, (src, tgt, tuple(dropped))
+
+
+@given(mono_texts(), mono_texts(), st.sampled_from([1, 2, 3, 7, corpus_io._READ_CHARS]))
+@settings(max_examples=300, deadline=None)
+def test_chunked_reads_match_the_list_references(tmp_path_factory, first, second, chars):
+    """Chunks of a few characters cut inside tokens, CRLFs and lines longer
+    than a chunk, and before a missing final newline; a chunk of the whole
+    file holds many lines."""
+    tmp = tmp_path_factory.mktemp("chunks")
+    a, b = tmp / "a.txt", tmp / "b.txt"
+    a.write_bytes(first.encode("utf-8"))
+    b.write_bytes(second.encode("utf-8"))
+    with mock.patch.object(corpus_io, "_READ_CHARS", chars):
+        for limit in [None, *range(len(mono_oracle.read_mono(a)) + 2)]:
+            want = [" ".join(tokens) for tokens in mono_oracle.read_mono(a, limit)]
+            assert read_mono(a, limit).lines == want
+        counts, want = parallel_reference(a, b)
+        if want is None:
+            with pytest.raises(ValidationError, match=f"has {counts[0]} lines, .* has {counts[1]} lines$"):
+                read_parallel(a, b)
+        else:
+            pairs = read_parallel(a, b)
+            assert (pairs.src.lines, pairs.tgt.lines, pairs.dropped) == want
 
 
 # Round trips over arbitrary Unicode tokens (see conftest.TOKENS and FIELDS

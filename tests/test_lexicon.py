@@ -162,6 +162,19 @@ class TestRoundTrip:
         assert path.read_text(encoding="utf-8") == "# provenance: induced\na\tx\nb\ty\n"
         assert load_lexicon(path)[0] == lex
 
+    def test_mixed_provenance_reloads_as_base(self, tmp_path):
+        # the TSV holds one provenance for the whole file, so a merge of a
+        # base and an induced lexicon is saved without the comment
+        merged = merge(build_lexicon([("a", "x")]),
+                       build_lexicon([("a", "y"), ("b", "z")], provenance=Provenance.INDUCED))
+        assert [e.provenance for e in merged.iter_entries()] == [
+            Provenance.BASE, Provenance.INDUCED, Provenance.INDUCED]
+        path = tmp_path / "merged.tsv"
+        save_lexicon(merged, path)
+        assert path.read_text(encoding="utf-8") == "a\tx\na\ty\nb\tz\n"
+        assert [(e.source, e.target, e.provenance) for e in load_lexicon(path)[0].iter_entries()] == [
+            ("a", "x", Provenance.BASE), ("a", "y", Provenance.BASE), ("b", "z", Provenance.BASE)]
+
 
 class TestAdd:
     def test_duplicate_returns_false_and_keeps_first_seen_order(self):

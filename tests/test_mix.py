@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mono_oracle
-from conftest import TOKENS, pos_corpus
+from conftest import mono_texts, pos_corpus
 from lexsynth.corpus_io import LabeledCorpus, MonoCorpus, Schema, read_mono, write_mono
 from lexsynth.errors import ValidationError
 from lexsynth.mix import build_joint_labeled, concat_shuffle, upsample_to_match
@@ -110,25 +110,6 @@ def test_upsample_size_and_balance_property(gold_size, target, seed):
     counts = Counter(s[0] for s in out)
     values = [counts.get(f"s{i}", 0) for i in range(gold_size)]
     assert max(values) - min(values) <= 1
-
-
-# Whitespace that str.split breaks a line at but text-mode reading does not
-# end it at, between tokens and at either end of a line.
-SEPARATORS = st.sampled_from([" ", "  ", "\t", "\u00a0", "\u2028", " \t\u00a0", "\x0c"])
-EDGES = st.sampled_from(["", " ", "\t", "\u2028"])
-
-
-@st.composite
-def mono_texts(draw):
-    """A plain-text file with a BOM or not, LF, CRLF or CR line ends, and
-    blank and whitespace-only lines among the sentences."""
-    text = "\ufeff" if draw(st.booleans()) else ""
-    for _ in range(draw(st.integers(0, 8))):
-        line = draw(EDGES)
-        for n, token in enumerate(draw(st.lists(TOKENS, max_size=4))):
-            line += (draw(SEPARATORS) if n else "") + token
-        text += line + draw(EDGES) + draw(st.sampled_from(["\n", "\r\n", "\r", ""]))
-    return text
 
 
 @given(mono_texts(), mono_texts(), st.none() | st.integers(0, 6), st.integers(1, 30),
