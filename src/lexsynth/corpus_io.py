@@ -13,8 +13,8 @@ Formats handled:
     about 2**20 characters at a time, each chunk cut at its last line end;
     a chunk that is already single-spaced (no space at a line's start or
     end, no two spaces side by side, no other whitespace; blank lines
-    allowed) is split at its line ends and kept as read, and any other has
-    each line re-spaced
+    allowed) is split at its line ends and kept as read; any other is
+    re-spaced as a whole before it is split
   * TwoColumn: one ``token<TAB>label`` line per token; extra tab-separated
     columns are kept for round-tripping
   * CoNLL-U: standard 10-column lines; comments, multiword-token range lines
@@ -73,10 +73,9 @@ _WRITE_BATCH = 1024
 # Characters ``read_mono`` and ``read_parallel`` read at a time.
 _READ_CHARS = 2**20
 # What ``str.split`` splits at but a space, LF and CR (which text mode has
-# turned into LF): the ASCII characters, then all of them.
-_ASCII_SPACE = "\t\x0b\x0c\x1c\x1d\x1e\x1f"
-_OTHER_SPACE = _ASCII_SPACE + ("\x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006"
-                               "\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000")
+# turned into LF).
+_OTHER_SPACE = ("\t\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004"
+                "\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000")
 
 
 class Schema(enum.Enum):
@@ -302,9 +301,9 @@ class MonoCorpus(Sequence):
 
 
 def _single_spaced(text: str) -> bool:
-    """True when every line of ``text`` (lines end at LF) is blank or its
-    tokens joined by single spaces: no line starts or ends with a space, no
-    two spaces are adjacent, and no other whitespace occurs."""
+    """True when every line of ``text`` (lines end at LF; no whitespace but
+    spaces and LFs) is blank or its tokens joined by single spaces: no line
+    starts or ends with a space, and no two spaces are adjacent."""
     if text[:1] == " " or text[-1:] == " ":
         return False
     # Two spaces side by side here are two spaces, a space and an LF, or a
@@ -315,16 +314,25 @@ def _single_spaced(text: str) -> bool:
         if text[at] != "\n" or text[at + 1] != "\n":
             return False
         at = spaced.find("  ", at + 1)
-    others = _ASCII_SPACE if text.isascii() else _OTHER_SPACE
-    return not any(c in text for c in others)
+    return True
 
 
 def _lines(text: str) -> list[str]:
     """The lines of ``text`` (lines end at LF), each with its tokens joined
     by single spaces ("" for a blank line); kept as read when ``text`` is
-    single-spaced already."""
-    lines = text.split("\n")
-    return lines if _single_spaced(text) else [" ".join(line.split()) for line in lines]
+    single-spaced already.
+
+    Other whitespace becomes spaces, and the spaces are then collapsed and
+    stripped for the whole text at once, not line by line.
+    """
+    for c in _OTHER_SPACE:
+        if c in text:
+            text = text.replace(c, " ")
+    if not _single_spaced(text):
+        while "  " in text:
+            text = text.replace("  ", " ")
+        text = text.replace(" \n", "\n").replace("\n ", "\n").strip(" ")
+    return text.split("\n")
 
 
 def _chunks(fh):

@@ -717,7 +717,6 @@ def test_other_space_is_what_str_split_splits_at():
     # conftest builds SPACES from str.isspace over every code point, which
     # the package does not do at import
     assert sorted(corpus_io._OTHER_SPACE) == sorted(set(SPACES) - {" "})
-    assert sorted(corpus_io._ASCII_SPACE) == sorted({c for c in SPACES if c.isascii()} - {" "})
 
 
 def parallel_reference(src, tgt):
