@@ -34,17 +34,17 @@ returns counts for the chunk's pairs only; they are added into the table's
 counts in ascending chunk order.
 
 The three corpus consumers, ``train_model1``, ``viterbi_align`` and
-``induce_lexicon``, read a corpus as an ``EncodedCorpus``: per side, each
-sentence as one line of tokens joined by single spaces (the lines of a
-``corpus_io.ParallelPairs``, shared, not copied), the sentence lengths, one
-flat array of type ids and the folded types in order of first occurrence,
-all made by ``_encode``. No token list per sentence is kept; indexing or
-iterating the corpus splits the lines. Each function accepts one or encodes
-a plain corpus itself, so a caller that passes one encoded corpus to all
-three (and its ``swapped()`` for the other direction, which exchanges the
-sides without encoding or copying) encodes each side once; ``lex induce``
-does that. A table's source row is its type id + 1, row 0 being NULL; the
-layout maps ids to rows one chunk at a time.
+``induce_lexicon``, read a corpus as an ``EncodedCorpus``: the
+``corpus_io.ParallelPairs`` it was made from, its lines shared, not copied,
+and its ``dropped`` kept, with each ``MonoCorpus`` side also holding the
+sentence lengths, one flat array of type ids and the folded types in order
+of first occurrence, all made by ``_encode``. No token list per sentence is
+kept; indexing or iterating the corpus splits the lines. Each function
+accepts one or encodes a plain corpus itself, so a caller that passes one
+encoded corpus to all three (and its ``swapped()`` for the other direction,
+which exchanges the sides without encoding or copying) encodes each side
+once; ``lex induce`` does that. A table's source row is its type id + 1,
+row 0 being NULL; the layout maps ids to rows one chunk at a time.
 
 Each direction's layout is built once. ``train_model1`` keeps the encoded
 corpus it trained on and its chunks in the table. When ``viterbi_align``
@@ -73,7 +73,6 @@ import enum
 import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -140,7 +139,8 @@ class Alignments(Sequence):
     key ``base[k] + i * tgt_lens[k] + j`` with ``base = _offsets(src_lens *
     tgt_lens)``, so key order is (sentence, i, j) order and an empty
     sentence takes no key space. Indexing or iterating builds validated
-    ``SentenceAlignment`` views.
+    ``SentenceAlignment`` views; a slice is the ``Alignments`` of its
+    sentences.
     """
 
     def __init__(self, src_lens: np.ndarray, tgt_lens: np.ndarray, keys: np.ndarray):
@@ -182,7 +182,9 @@ class Alignments(Sequence):
     def __len__(self) -> int:
         return len(self.src_lens)
 
-    def __getitem__(self, k) -> SentenceAlignment:
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return Alignments.of([self[n] for n in range(len(self))[k]])
         k = range(len(self))[k]  # negative indexes; IndexError past the end
         lo, hi = np.searchsorted(self.keys, self._base[k:k + 2])
         [view] = Alignments(self.src_lens[k:k + 1], self.tgt_lens[k:k + 1],
@@ -256,13 +258,15 @@ class TranslationTable:
         return {w: float(s) for w, s in zip(self.src_words, sums)}
 
 
-class _Side(NamedTuple):
-    """One side of an encoded corpus (see ``_encode``)."""
+class _Side(MonoCorpus):
+    """One side of an encoded corpus (see ``_encode``): the ``MonoCorpus`` of
+    its ``lines``, with ``lens``, the tokens per sentence, ``flat``, every
+    token's type id sentence after sentence, and ``types``, the folded type
+    of each id in first-occurrence order."""
 
-    lines: list[str]     # each sentence's tokens joined by single spaces
-    lens: np.ndarray     # tokens per sentence
-    flat: np.ndarray     # every token's type id, sentence after sentence
-    types: list[str]     # the folded type of each id, in first-occurrence order
+    def __init__(self, lines: list[str], lens: np.ndarray, flat: np.ndarray, types: list[str]):
+        super().__init__(lines)
+        self.lens, self.flat, self.types = lens, flat, types
 
 
 class _TypeIds(dict):
@@ -298,24 +302,27 @@ def _encode(lines: list[str], fold) -> _Side:
     return _Side(lines, np.array(lens, dtype=np.int64), flat, list(ids.types))
 
 
-class EncodedCorpus(Sequence):
-    """A parallel corpus with each side encoded once, for ``train_model1``,
+class EncodedCorpus(ParallelPairs):
+    """A ``ParallelPairs`` with each side encoded once, for ``train_model1``,
     ``viterbi_align`` and ``induce_lexicon``.
 
-    ``src`` and ``tgt`` hold each side's lines (as a ``MonoCorpus`` holds
-    them), sentence lengths, flat type ids and types, folded with
-    ``str.casefold`` when ``case_fold`` is set. Item k is the pair of
-    sentence k's token lists, split from its lines when read. ``swapped``
+    ``src`` and ``tgt`` are ``MonoCorpus`` sides that also hold their
+    sentence lengths, flat type ids and types, folded with ``str.casefold``
+    when ``case_fold`` is set. Items, slices, iteration, ``==``, ``repr``
+    and ``dropped`` are those of a ``ParallelPairs``, so two encoded corpora
+    with the same text compare equal whatever their folding. ``swapped``
     reverses the direction without encoding or copying.
     """
 
-    def __init__(self, src: _Side, tgt: _Side, case_fold: bool):
-        self.src, self.tgt, self.case_fold = src, tgt, case_fold
+    def __init__(self, src: _Side, tgt: _Side, case_fold: bool, dropped: tuple[int, ...] = ()):
+        super().__init__(src, tgt, dropped)
+        self.case_fold = case_fold
 
     @classmethod
     def of(cls, corpus, case_fold: bool = True) -> EncodedCorpus:
         """``corpus`` itself if it is an ``EncodedCorpus`` folded as
-        ``case_fold`` says, else its sides' lines encoded.
+        ``case_fold`` says, else its sides' lines encoded, keeping its
+        ``dropped``.
 
         The lines of an ``EncodedCorpus`` or a ``ParallelPairs`` are used as
         they are. Any other corpus of ``(source, target)`` token lists goes
@@ -327,22 +334,12 @@ class EncodedCorpus(Sequence):
         elif corpus.case_fold == case_fold:
             return corpus
         fold = str.casefold if case_fold else str
-        return cls(_encode(corpus.src.lines, fold), _encode(corpus.tgt.lines, fold), case_fold)
+        return cls(_encode(corpus.src.lines, fold), _encode(corpus.tgt.lines, fold), case_fold,
+                   corpus.dropped)
 
     def swapped(self) -> EncodedCorpus:
         """The corpus with source and target exchanged."""
-        return EncodedCorpus(self.tgt, self.src, self.case_fold)
-
-    def __len__(self) -> int:
-        return len(self.src.lines)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return ParallelPairs(MonoCorpus(self.src.lines[k]), MonoCorpus(self.tgt.lines[k]))
-        return self.src.lines[k].split(), self.tgt.lines[k].split()
-
-    def __iter__(self):
-        return zip(map(str.split, self.src.lines), map(str.split, self.tgt.lines))
+        return EncodedCorpus(self.tgt, self.src, self.case_fold, self.dropped)
 
 
 def _check_source_types(types: list[str], case_fold: bool) -> None:

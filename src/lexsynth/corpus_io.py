@@ -732,8 +732,15 @@ def sniff_format(path) -> Format:
     including a ``#`` line with a tab (a TwoColumn ``#<TAB>SYM`` row), means
     CoNLL-U when it has 10 tab-separated columns. When none of the first 20
     such lines decides, the file is TwoColumn.
+
+    The file is read again once its format is known, so a pipe, which
+    cannot be, raises ``DataFormatError`` before any line is read.
     """
     with open_input(path) as fh:
+        if not fh.seekable():
+            raise DataFormatError("cannot guess the format of a pipe, which can be read only "
+                                  "once; name it with --format conllu or --format two-col",
+                                  path=path)
         seen = 0
         for line in fh:
             line = line.rstrip("\n")

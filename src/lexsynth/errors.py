@@ -34,16 +34,20 @@ def open_input(path):
     A byte that is not UTF-8 raises ``DataFormatError`` naming the path and
     the file offset of the first bad byte. Only that failure reads the file
     again, as bytes, to find the offset: a decode error inside a buffered
-    text read gives it relative to the read's chunk.
+    text read gives it relative to the read's chunk. A pipe cannot be read
+    again, so its error names the byte without an offset.
     """
     with open(path, encoding="utf-8-sig") as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:
-            fh.buffer.seek(0)
-            try:
-                fh.buffer.read().decode("utf-8")  # a BOM is valid UTF-8
-            except UnicodeDecodeError as whole:
-                exc = whole
-            bad = f"byte 0x{exc.object[exc.start]:02x} at byte offset {exc.start}"
+            where = ""
+            if fh.buffer.seekable():
+                fh.buffer.seek(0)
+                try:
+                    fh.buffer.read().decode("utf-8")  # a BOM is valid UTF-8
+                except UnicodeDecodeError as whole:
+                    exc = whole
+                where = f" at byte offset {exc.start}"
+            bad = f"byte 0x{exc.object[exc.start]:02x}{where}"
             raise DataFormatError(f"not valid UTF-8: {bad}", path=path) from None

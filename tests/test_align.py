@@ -1,6 +1,8 @@
 import dataclasses
+import os
 import random
 import re
+import tempfile
 
 import numpy as np
 import pytest
@@ -782,6 +784,70 @@ class TestEncodedCorpusLines:
             EncodedCorpus.of(corpus)
         with pytest.raises(ValidationError, match=re.escape(where)):
             train_model1(corpus)
+
+
+def slices(n):
+    """Every slice of a sequence of length ``n``, up to steps of 3."""
+    bounds = [None, *range(-n - 1, n + 2)]
+    for step in (None, 1, 2, 3, -1, -2, -3):
+        for start in bounds:
+            for stop in bounds:
+                yield slice(start, stop, step)
+
+
+side_tokens = st.lists(st.sampled_from(WORDS), max_size=3)  # [] is a blank line
+
+
+@given(st.lists(st.tuples(side_tokens, side_tokens), max_size=5), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_encoded_corpus_is_the_parallel_pairs_it_encodes(rows, case_fold):
+    """``EncodedCorpus.of`` a corpus read by ``read_parallel``, and its
+    ``swapped()``, have the length, items, slices, iteration, ``==``,
+    ``repr`` and ``dropped`` of the ``ParallelPairs`` they came from,
+    whatever the folding."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, "s.txt"), os.path.join(tmp, "t.txt")]
+        for path, side in zip(paths, ([s for s, _ in rows], [t for _, t in rows])):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.writelines(" ".join(tokens) + "\n" for tokens in side)
+        pairs = read_parallel(*paths)
+    assert pairs.dropped == tuple(k for k, (s, t) in enumerate(rows) if not (s and t))
+    encoded = EncodedCorpus.of(pairs, case_fold)
+    assert EncodedCorpus.of(pairs, not case_fold) == encoded
+    for enc, plain in ((encoded, pairs),
+                       (encoded.swapped(), ParallelPairs(pairs.tgt, pairs.src, pairs.dropped))):
+        n = len(plain)
+        assert len(enc) == n
+        for k in range(-n, n):
+            assert type(enc[k]) is tuple and enc[k] == plain[k]
+        for k in slices(n):
+            part, want = enc[k], plain[k]
+            assert type(part) is ParallelPairs
+            assert type(part.src) is MonoCorpus and type(part.tgt) is MonoCorpus
+            assert part == want and repr(part) == repr(want)
+        assert list(enc) == list(plain)
+        assert enc == plain and plain == enc and repr(enc) == repr(plain)
+        assert enc.dropped == plain.dropped
+
+
+@st.composite
+def sentence_alignment_views(draw):
+    src_len, tgt_len = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    cells = [(i, j) for i in range(src_len) for j in range(tgt_len)]
+    links = draw(st.frozensets(st.sampled_from(cells))) if cells else frozenset()
+    return SentenceAlignment(links, src_len, tgt_len)
+
+
+@given(st.lists(sentence_alignment_views(), max_size=8), st.data())
+@settings(max_examples=100, deadline=None)
+def test_a_slice_of_alignments_is_the_alignments_of_its_sentences(views, data):
+    al = Alignments.of(views)
+    for _ in range(5):
+        k = data.draw(st.slices(len(views)))
+        part = al[k]
+        assert type(part) is Alignments
+        assert list(part) == list(al)[k] == views[k]
+        assert np.array_equal(part.keys, Alignments.of(views[k]).keys)
 
 
 class TestAlignments:

@@ -54,6 +54,15 @@ def two_col_file(tmp_path, tokens, tags, name="data.tsv"):
     return path
 
 
+def run_cli(argv, **kwargs) -> subprocess.CompletedProcess:
+    """Run the CLI in a new interpreter, as a shell runs it."""
+    src_dir = str(Path(cli.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "lexsynth.cli", *argv], env=env,
+                          capture_output=True, timeout=120, **kwargs)
+
+
 class TestLexCommands:
     def test_stats_json(self, tmp_path, capsys):
         lex = lexicon_file(tmp_path, MONO_LEX_PAIRS)
@@ -527,6 +536,26 @@ class TestReportCommand:
         warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
         assert warnings == [f"skipped 1 unusable line(s) in {lex}"]
 
+    @pytest.mark.parametrize("fmt, sentence", [
+        ("two-col", "house\tNOUN\nrun\tVERB\n"),
+        ("conllu", "1\thouse\t_\tNOUN\t_\t_\t0\troot\t_\t_\n"
+                   "2\trun\t_\tVERB\t_\t_\t1\tdep\t_\t_\n"),
+    ], ids=["two-col", "conllu"])
+    def test_pos_dist_reads_a_pipe_only_with_a_named_format(self, tmp_path, fmt, sentence):
+        # far more than the format guess reads ahead, which a pipe loses
+        lex = lexicon_file(tmp_path, [("house", "dar"), ("run", "ġiri")])
+        ref = tmp_path / "ref.txt"
+        ref.write_text((sentence + "\n") * 2000, encoding="utf-8")
+        argv = ["report", "pos-dist", "--lexicon", str(lex), "--json", "--reference"]
+        from_file = run_cli([*argv, str(ref)])
+        assert from_file.returncode == 0, from_file.stderr
+        guessed = run_cli([*argv, "/dev/stdin"], input=ref.read_bytes())
+        assert guessed.returncode == 2 and guessed.stdout == b""
+        assert b"/dev/stdin: cannot guess the format of a pipe" in guessed.stderr
+        named = run_cli([*argv, "/dev/stdin", "--format", fmt], input=ref.read_bytes())
+        assert named.returncode == 0, named.stderr
+        assert named.stdout == from_file.stdout
+
 
 class TestUsage:
     def test_unknown_subcommand_exit_1(self):
@@ -948,14 +977,9 @@ def test_commit_syncs_files_before_renames_and_directories_after(tmp_path, monke
 def test_induce_logs_each_directions_log_likelihood_curve(tmp_path):
     corpus = [(["the", "house"], ["das", "haus"]), (["the", "book"], ["das", "buch"])]
     corpus_io.write_parallel(corpus, tmp_path / "src.txt", tmp_path / "tgt.txt")
-    src_dir = str(Path(cli.__file__).parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "lexsynth.cli", "lex", "induce", "--src", str(tmp_path / "src.txt"),
-         "--tgt", str(tmp_path / "tgt.txt"), "--out", str(tmp_path / "out.tsv"),
-         "--iterations", "3"],
-        env=env, capture_output=True, text=True, timeout=120)
+    proc = run_cli(["lex", "induce", "--src", str(tmp_path / "src.txt"),
+                    "--tgt", str(tmp_path / "tgt.txt"), "--out", str(tmp_path / "out.tsv"),
+                    "--iterations", "3"], text=True)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stderr.splitlines()
     for name, direction in (("forward", corpus), ("backward", swap_corpus(corpus))):

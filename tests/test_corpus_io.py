@@ -1,5 +1,7 @@
 import logging
+import os
 import re
+import threading
 from dataclasses import replace
 from unittest import mock
 
@@ -35,6 +37,23 @@ from lexsynth.lexicon import load_lexicon
 def write(tmp_path, text, name):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
+    return path
+
+
+def fifo(tmp_path, data: bytes, name="pipe"):
+    """A named pipe that a thread fills with ``data`` once it is opened for
+    reading; like a shell pipe, it cannot be read twice."""
+    path = tmp_path / name
+    os.mkfifo(path)
+
+    def fill():
+        try:
+            with open(path, "wb") as fh:
+                fh.write(data)
+        except BrokenPipeError:  # the reader stopped early
+            pass
+
+    threading.Thread(target=fill, daemon=True).start()
     return path
 
 
@@ -118,6 +137,12 @@ class TestMono:
         offset = len(good.encode("utf-8")) + 1
         with pytest.raises(DataFormatError,
                            match=f"m.txt: not valid UTF-8: byte 0xe9 at byte offset {offset}$"):
+            read_mono(path)
+
+    def test_undecodable_byte_in_a_pipe_named_without_an_offset(self, tmp_path):
+        # a pipe cannot be read again to find the offset
+        path = fifo(tmp_path, b"a b\nc \xff d\n")
+        with pytest.raises(DataFormatError, match="pipe: not valid UTF-8: byte 0xff$"):
             read_mono(path)
 
     def test_limit_reads_no_chunk_past_the_limit_line(self, tmp_path, monkeypatch):
@@ -664,6 +689,13 @@ class TestValidation:
 def test_sniff_format(tmp_path):
     assert sniff_format(write(tmp_path, TWO_COL, "a.tsv")) is Format.TWO_COL
     assert sniff_format(write(tmp_path, CONLLU, "b.conllu")) is Format.CONLLU
+
+
+@pytest.mark.parametrize("text", [TWO_COL, CONLLU], ids=["two-col", "conllu"])
+def test_sniff_format_rejects_a_pipe(tmp_path, text):
+    # the read after the guess would miss the lines the guess read ahead
+    with pytest.raises(DataFormatError, match="pipe: cannot guess the format of a pipe.*--format"):
+        sniff_format(fifo(tmp_path, text.encode("utf-8")))
 
 
 @pytest.mark.parametrize("undecided, want", [(19, Format.CONLLU), (20, Format.TWO_COL)])
