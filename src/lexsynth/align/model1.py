@@ -21,17 +21,21 @@ code that needs one makes it from ``group_ptr`` with ``np.repeat``.
 Both the chunk layout and the table merge find distinct keys with
 ``_unique_inverse``: each key is packed above its index in one int64 word,
 ``key << b | index``, and the words are sorted in place, so no argsort and
-no ``searchsorted`` runs. A chunk packs its slots' plain pair keys. Keys
-too large to share a word with the index bits go to ``np.unique`` instead,
-so there is no limit on the number of types; a real corpus's keys never
-do (``n_src * n_tgt`` is about 2**24 at 100k verse pairs). Training merges
-the chunks' distinct keys with one more packed sort, which gives the
-table's ``_keys`` and, for each chunk, the table pair ids ``pairs`` of its
-keys. EM runs on those chunks. The E-step
+no ``searchsorted`` runs. The sorted words are ranked in fixed blocks of
+``_RANK_BLOCK`` words, so no scratch array as long as the keys is made. A
+chunk packs its slots' plain pair keys. Keys too large to share a word with
+the index bits go to ``np.unique`` instead, so there is no limit on the
+number of types; a real corpus's keys never do (``n_src * n_tgt`` is about
+2**24 at 100k verse pairs). Training holds a direction's slots in one int32
+array, each chunk's ``local`` a view of its part, and merges the chunks'
+distinct keys with one more packed sort, which gives the table's ``_keys``
+and, for each chunk, the table pair ids ``pairs`` of its keys. EM runs on
+those chunks, with two count buffers that swap each iteration. The E-step
 (``_em_numpy.estep_chunk``, in numpy) takes a chunk's pair probabilities
 ``t[pairs]``, spreads each group's posterior over its slots' pairs and
 returns counts for the chunk's pairs only; they are added into the table's
-counts in ascending chunk order.
+counts in ascending chunk order. ``lex induce`` peaks at about 149 MB on 31k
+verse pairs and 360 MB on 100k.
 
 The three corpus consumers, ``train_model1``, ``viterbi_align`` and
 ``induce_lexicon``, read a corpus as an ``EncodedCorpus``: the
@@ -87,6 +91,10 @@ _CHUNK_SENTS = 1024
 # Bits of one packed sort word (see _unique_inverse): a signed int64 word
 # holds 63. Tests lower it to take the np.unique fallback.
 _PACK_BITS = 63
+
+# Words _unique_inverse packs and ranks at a time, which bounds its
+# scratch. Tests lower it to cross block edges.
+_RANK_BLOCK = 1 << 16
 
 # The E-step is called through this module attribute rather than imported by
 # name: the benchmark's tracer (perfbench/spans.py) finds it as
@@ -367,7 +375,11 @@ def _unique_inverse(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     bit width of the largest index, so one plain sort orders the values and
     carries each one's index along. The first of each run of equal high
     parts is a distinct value, and the running count of run starts,
-    scattered back through the low parts, is the inverse. Values that do not
+    scattered back through the low parts, is the inverse. The indexes are
+    packed, and the sorted words ranked, ``_RANK_BLOCK`` words at a time, so
+    the scratch beside ``values`` and the inverse is a few arrays of one
+    block; the distinct values are gathered into the front of ``values``,
+    whose words are ranked by then, and copied out. Values that do not
     fit beside ``b`` index bits in ``_PACK_BITS`` bits (the largest at or
     above ``2**(_PACK_BITS - b)``) go to ``np.unique`` instead; the pair keys
     of a Bible-scale corpus are far below that bound.
@@ -379,20 +391,28 @@ def _unique_inverse(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return distinct, inverse.astype(np.int32)
     word = values
     word <<= b
-    word |= np.arange(n)
+    for lo in range(0, n, _RANK_BLOCK):
+        word[lo:lo + _RANK_BLOCK] |= np.arange(lo, min(lo + _RANK_BLOCK, n))
     word.sort()
-    high = word >> b
-    first = np.empty(n, dtype=bool)
-    first[:1] = True
-    np.not_equal(high[1:], high[:-1], out=first[1:])
-    distinct = high[first]
-    del high
-    rank = np.cumsum(first, dtype=np.int32)
-    rank -= 1
-    word &= (1 << b) - 1
     inverse = np.empty(n, dtype=np.int32)  # made after the sort, to lower the peak
-    inverse[word] = rank
-    return distinct, inverse
+    count = 0  # distinct values in the blocks before this one
+    last = -1  # the previous block's last value; no value is negative
+    for lo in range(0, n, _RANK_BLOCK):
+        block = word[lo:lo + _RANK_BLOCK]
+        high = block >> b
+        first = np.empty(len(block), dtype=bool)
+        first[0] = high[0] != last
+        np.not_equal(high[1:], high[:-1], out=first[1:])
+        rank = np.cumsum(first, dtype=np.int32)
+        rank += count - 1
+        inverse[block & ((1 << b) - 1)] = rank
+        last = high[-1]
+        # at most lo + len(block) distinct values so far: they fit in the
+        # words already ranked
+        new = high[first]
+        word[count:count + len(new)] = new
+        count += len(new)
+    return word[:count].copy(), inverse
 
 
 def _chunk_layouts(src_lens, src_flat, tgt_lens, tgt_flat, n_tgt, src_map=None, tgt_map=None):
@@ -476,10 +496,26 @@ def train_model1(corpus: ParallelCorpus, cfg: AlignerConfig = AlignerConfig()) -
 
     # a source type's row is its id + 1
     rows = np.arange(1, n_src, dtype=np.int64)
-    chunks = list(_chunk_layouts(src.lens, src.flat, tgt.lens, tgt.flat, n_tgt, rows))
+    layouts = _chunk_layouts(src.lens, src.flat, tgt.lens, tgt.flat, n_tgt, rows)
+    # Every chunk's local is copied into one int32 slot array per direction
+    # as the chunk is laid out, and the chunk keeps a view of its part: held
+    # apart, the chunks' arrays leave holes in the heap that later arrays do
+    # not fit. The array is made once the first chunk is out, so the layout's
+    # size check has run.
+    first = next(layouts)
+    slots = np.empty(int((tgt.lens * (src.lens + 1)).sum()), dtype=np.int32)
+    chunks, lo = [], 0
+    for group_ptr, keys, local in itertools.chain([first], layouts):
+        slots[lo:lo + len(local)] = local
+        chunks.append((group_ptr, keys, slots[lo:lo + len(local)]))
+        lo += len(local)
+    del first, local
     # The table's pairs are the chunks' keys merged: one packed sort of all
-    # of them gives the sorted distinct keys and each chunk key's pair id.
-    # The chunks' own keys are dropped before the sort's scratch is made.
+    # of them gives the sorted distinct keys and each chunk key's pair id,
+    # ranked in fixed blocks (see _unique_inverse). The chunks' own keys are
+    # dropped before the sort's scratch is made. With the one slot array and
+    # EM's two count buffers, lex induce peaks at about 149 MB on 31k verse
+    # pairs and 360 MB on 100k.
     cuts = np.cumsum([len(keys) for _, keys, _ in chunks[:-1]])
     merged = np.concatenate([keys for _, keys, _ in chunks])
     chunks = [(group_ptr, local) for group_ptr, _, local in chunks]
@@ -491,10 +527,11 @@ def train_model1(corpus: ParallelCorpus, cfg: AlignerConfig = AlignerConfig()) -
     row_len = np.diff(row_ptr)
 
     t = 1.0 / np.repeat(row_len, row_len).astype(np.float64)
+    counts = np.empty_like(t)  # t and counts swap buffers each iteration
 
     log_likelihoods: list[float] = []
     for _ in range(cfg.iterations):
-        counts = np.zeros(len(pair_keys))
+        counts.fill(0.0)
         ll = 0.0
         for group_ptr, pairs, local in chunks:
             pairs = pairs.astype(np.intp)  # cast once for the gather and the add
@@ -504,7 +541,8 @@ def train_model1(corpus: ParallelCorpus, cfg: AlignerConfig = AlignerConfig()) -
         log_likelihoods.append(ll)
         row_sums = np.add.reduceat(counts, row_ptr[:-1])
         counts /= np.repeat(row_sums, row_len)
-        t = counts
+        t, counts = counts, t
+    del counts
 
     return TranslationTable(
         case_fold=cfg.case_fold,

@@ -4,6 +4,8 @@ Exit codes: 0 success, 1 usage error, 2 data-format error, 3 validation
 error. Diagnostics go to stderr; corpus data is only ever written to files.
 No output file is written when a subcommand fails: a subcommand only names
 its outputs, and ``main`` writes them all, or none, once it has returned.
+Before the subcommand runs, ``main`` checks that each output path names a
+file in a directory that exists.
 
 Each subcommand runs with Python's cyclic garbage collector paused. The
 corpora, lexicons and alignments a command builds hold no reference cycles,
@@ -128,6 +130,19 @@ def _fsync(path) -> None:
         os.fsync(fd)
     finally:
         os.close(fd)
+
+
+def _output_path_problem(path: str) -> str | None:
+    """Why ``path`` cannot be written as an output file, or None. An output
+    names a file, not a directory, in a directory that exists; ``main``
+    checks each before the command runs, so a bad path fails before the work
+    and the message names the path as given, not the temp file."""
+    if path.endswith(tuple(filter(None, (os.sep, os.altsep)))) or os.path.isdir(path):
+        return "it names a directory"
+    parent = os.path.dirname(path) or os.curdir
+    if not os.path.isdir(parent):
+        return f"{parent!r} is not an existing directory"
+    return None
 
 
 def _write_json(doc: dict, path) -> None:
@@ -407,6 +422,11 @@ def main(argv=None) -> int:
         print(f"lexsynth: error: two outputs name the same file: {' '.join(outputs)}",
               file=sys.stderr)
         return USAGE_ERROR
+    for path in outputs:
+        problem = _output_path_problem(path)
+        if problem:
+            print(f"lexsynth: i/o error: cannot write {path!r}: {problem}", file=sys.stderr)
+            return DATA_FORMAT_ERROR
     try:
         with _collector_paused():
             out = _Outputs()

@@ -423,14 +423,24 @@ def layout_inputs(draw):
 PACK_BITS = st.sampled_from([63, 9])
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(0, 2**12), max_size=64), st.sampled_from([63, 8]))
-def test_unique_inverse_matches_np_unique(values, pack_bits):
+# _unique_inverse ranks this many words at a time in the test below: the
+# sizes are none, one, and one short of, at, one past and well past a block
+RANK_BLOCK = 8
+BLOCK_SIZES = [0, 1, RANK_BLOCK - 1, RANK_BLOCK, RANK_BLOCK + 1, 3 * RANK_BLOCK + 7]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.sampled_from(BLOCK_SIZES), st.integers(0, 64)).flatmap(
+           # small values repeat, so runs of equal values cross block edges
+           lambda n: st.lists(st.integers(0, 3) | st.integers(0, 2**12), min_size=n, max_size=n)),
+       st.sampled_from([63, 8]), st.sampled_from([RANK_BLOCK, model1._RANK_BLOCK]))
+def test_unique_inverse_matches_np_unique(values, pack_bits, rank_block):
     # at most 6 index bits: with 8 bits, lists holding a value of 4 or more
     # go to np.unique
     values = np.array(values, dtype=np.int64)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(model1, "_PACK_BITS", pack_bits)
+        mp.setattr(model1, "_RANK_BLOCK", rank_block)
         distinct, inverse = model1._unique_inverse(values.copy())
     expected, expected_inverse = np.unique(values, return_inverse=True)
     assert distinct.tolist() == expected.tolist()
@@ -471,6 +481,20 @@ def test_merged_table_keys_and_chunk_pairs_match_numpy_reference(rng, chunk, pac
     assert len(chunks) == len(expected)
     for (_, pairs, _), (_, ref_keys, _) in zip(chunks, expected):
         assert pairs.tolist() == np.searchsorted(keys, ref_keys).tolist()
+
+
+def test_training_chunks_hold_their_slots_in_one_array():
+    # every chunk's local is a view of one int32 array per direction, in
+    # chunk order, with no slot to spare
+    corpus = EncodedCorpus.of(verse_corpus(2500, seed=4))  # three 1024-sentence chunks
+    for direction in (corpus, corpus.swapped()):
+        chunks = train_model1(direction, AlignerConfig(iterations=1))._trained_on[1]
+        assert len(chunks) == 3
+        slots = chunks[0][2].base
+        assert slots is not None and slots.dtype == np.int32
+        assert len(slots) == (direction.tgt.lens * (direction.src.lens + 1)).sum()
+        assert all(np.shares_memory(local, slots) for _, _, local in chunks)
+        assert np.array_equal(np.concatenate([local for _, _, local in chunks]), slots)
 
 
 def test_np_unique_fallback_trains_and_aligns_as_the_packed_sort():

@@ -707,6 +707,71 @@ class TestSameOutputPath:
         assert not any(tmp_path.iterdir())
 
 
+class TestUnwritableOutputPath:
+    """An output path in a missing directory, naming a directory or ending in
+    a separator is an i/o error, caught before any input is read: exit 2,
+    one message naming the path as given (not the temp file), no work logged
+    and nothing written."""
+
+    BAD = ["missing/y.txt", "adir", "adir/", "newdir/"]
+
+    def tree(self, root):
+        return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+    def assert_rejected(self, tmp_path, capsys, caplog, argv, bad):
+        before = self.tree(tmp_path)
+        with caplog.at_level(logging.INFO, logger="lexsynth"):
+            assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"lexsynth: i/o error: cannot write {bad!r}: ")
+        assert len(err.splitlines()) == 1 and ".tmp~" not in err
+        assert not caplog.records  # the command did not run
+        assert self.tree(tmp_path) == before
+
+    @pytest.fixture
+    def workdir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "adir").mkdir()
+        (tmp_path / "adir" / "kept.txt").write_text("kept\n", encoding="utf-8")
+        return tmp_path
+
+    @pytest.mark.parametrize("option", ["--out", "--report"])
+    @pytest.mark.parametrize("bad", BAD)
+    def test_mono(self, workdir, capsys, caplog, option, bad):
+        lexicon_file(workdir, [("a", "x")])
+        (workdir / "mono.txt").write_text("a b\n", encoding="utf-8")
+        outputs = {"--out": "out.txt", "--report": "report.json", option: bad}
+        argv = ["synth", "mono", "--corpus", "mono.txt", "--lexicon", "lex.tsv", "--seed", "1"]
+        for flag, path in outputs.items():
+            argv += [flag, path]
+        self.assert_rejected(workdir, capsys, caplog, argv, bad)
+
+    @pytest.mark.parametrize("option", ["--out", "--dump-alignments"])
+    @pytest.mark.parametrize("bad", BAD)
+    def test_induce(self, workdir, capsys, caplog, option, bad):
+        (workdir / "src.txt").write_text("the house\na house\n", encoding="utf-8")
+        (workdir / "tgt.txt").write_text("das haus\nein haus\n", encoding="utf-8")
+        outputs = {"--out": "out.tsv", "--dump-alignments": "links.txt", option: bad}
+        argv = ["lex", "induce", "--src", "src.txt", "--tgt", "tgt.txt", "--min-count", "1"]
+        for flag, path in outputs.items():
+            argv += [flag, path]
+        self.assert_rejected(workdir, capsys, caplog, argv, bad)
+
+    def test_absolute_path_in_a_missing_directory_from_a_shell(self, tmp_path):
+        lex = lexicon_file(tmp_path, [("a", "x")])
+        corpus = tmp_path / "mono.txt"
+        corpus.write_text("a b\n", encoding="utf-8")
+        bad = str(tmp_path / "missing" / "dir" / "y.txt")
+        before = set(tmp_path.rglob("*"))
+        proc = run_cli(["synth", "mono", "--corpus", str(corpus), "--lexicon", str(lex),
+                        "--out", bad, "--seed", "1"], text=True)
+        assert proc.returncode == 2
+        assert proc.stderr == (f"lexsynth: i/o error: cannot write {bad!r}: "
+                               f"{str(tmp_path / 'missing' / 'dir')!r} is not an existing "
+                               "directory\n")
+        assert set(tmp_path.rglob("*")) == before
+
+
 class TestUndecodableInput:
     """An input byte that is not UTF-8 is a data-format error: exit 2, a
     message naming the file and the bad byte's offset, no traceback and no
